@@ -52,12 +52,12 @@ from .schemes import (
 )
 from .estimators import (
     EstimateReport,
+    ShotBatch,
     ShotRecord,
     estimate,
     estimate_derandomized,
     per_shot_estimates,
     per_term_expectations,
-    records_from_samples,
     sample_size_linear,
     sample_size_nonlinear,
     variance_generic,
@@ -69,7 +69,6 @@ from .shadows import (
     ShadowSet,
     Snapshot,
     collect_shadows,
-    estimate_observable_from_shadows,
     p3_ppt_certificate,
     pt_moment_ustat,
     purity_certificate,

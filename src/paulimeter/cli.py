@@ -89,8 +89,7 @@ def _state(qubits: int, fidelity: float):
 def _shadows_from(records_path, qubits, ns, seed, fidelity) -> ShadowSet:
     if records_path is not None:
         records = parse_records(records_path)
-        return ShadowSet.from_records(records, records[0].basis.n,
-                                      seed_info=f"file={records_path}")
+        return ShadowSet.from_records(records, records.n, seed_info=f"file={records_path}")
     rho = _state(qubits, fidelity)
     return collect_shadows(rho, ns, seed)
 
@@ -324,6 +323,7 @@ def bench_cmd(task, scheme_texts, hamiltonian, ns_text, nr, reps, seed, fidelity
     spec = ExperimentSpec(
         task=task, schemes=schemes, ns_grid=ns_grid, nr=nr, repetitions=reps,
         seed=seed, noise=noise_from_fidelity(n, fidelity), hamiltonian=h,
+        observables=default_observable_pool(n) if task == "observables" else None,
         masks=masks, strategy=strategy)
     if task == "observables":
         result = run_observables_experiment(spec, jobs=jobs)

@@ -28,32 +28,80 @@ from .errors import (
     ForeignRecord,
     PlanMismatch,
 )
-from .paulis import PauliString, WeightedPauliSum, compatible, hits, multiply
+from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, compatible, hits, multiply
 from .schemes import BasisDistribution, MeasurementPlan
 from .states import DensityMatrix, exact_expectation
 
 
+class ShotBatch:
+    """Shot data as arrays, one row per measurement event.
+
+    ``letters`` holds the full-weight basis letter codes (1=X, 2=Y, 3=Z) as
+    an int8 (N, n) array, ``bits`` the outcome bits as a uint8 (N, n) array,
+    and ``reps`` the int64 (N,) multiplicities: a row with reps=r stands for
+    r unit shots that produced the same basis and the same outcome.  The
+    arrays are validated once, here; indexing and iteration give ShotRecord
+    row views.
+    """
+
+    def __init__(self, letters, bits, reps=None) -> None:
+        letters = np.asarray(letters, dtype=np.int8)
+        bits = np.asarray(bits, dtype=np.uint8)
+        reps = np.ones(len(letters)) if reps is None else reps
+        reps = np.asarray(reps, dtype=np.int64)
+        if letters.ndim != 2 or bits.shape != letters.shape or reps.shape != letters.shape[:1]:
+            raise ValueError(f"letters {letters.shape}, bits {bits.shape} and reps {reps.shape} "
+                             "must be (N, n), (N, n) and (N,)")
+        if not 1 <= letters.shape[1] <= MAX_QUBITS:
+            raise ValueError(f"qubit count {letters.shape[1]} outside 1..{MAX_QUBITS}")
+        if letters.size and letters.min() < 1:
+            raise ValueError("record basis contains identity letters")
+        if letters.size and letters.max() > 3:
+            raise ValueError("letter codes must be 1 (X), 2 (Y) or 3 (Z)")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bits must be 0 or 1")
+        if reps.size and reps.min() < 1:
+            raise ValueError("reps must be >= 1")
+        self.n = letters.shape[1]
+        self.letters = letters
+        self.bits = bits
+        self.reps = reps
+
+    @classmethod
+    def from_settings(cls, bases, outcomes) -> "ShotBatch":
+        """Unit-shot rows for settings measured in turn: ``outcomes[k]`` is
+        the (shots, n) bit array sampled in ``bases[k]``."""
+        letters = np.array([b.codes() for b in bases], dtype=np.int8)
+        return cls(np.repeat(letters, [len(o) for o in outcomes], axis=0), np.concatenate(outcomes))
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __getitem__(self, k: int) -> "ShotRecord":
+        return ShotRecord(PauliString.from_codes(self.letters[k]),
+                          tuple(int(b) for b in self.bits[k]), int(self.reps[k]))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ShotBatch) and np.array_equal(self.letters, other.letters)
+                and np.array_equal(self.bits, other.bits) and np.array_equal(self.reps, other.reps))
+
+    __hash__ = None
+
+    @property
+    def shots(self) -> int:
+        return int(self.reps.sum())
+
+
 @dataclass(frozen=True)
 class ShotRecord:
-    """One measurement event: full-weight basis, outcome bits, multiplicity.
-
-    ``reps`` counts coincidences: a record with reps=r stands for r unit
-    shots that produced the same basis and the same outcome.
-    """
+    """One row of a ShotBatch: full-weight basis, outcome bits, multiplicity."""
 
     basis: PauliString
     bits: tuple[int, ...]
     reps: int = 1
 
     def __post_init__(self) -> None:
-        if not self.basis.is_full_weight:
-            raise ValueError(f"record basis {self.basis} contains identity letters")
-        if len(self.bits) != self.basis.n:
-            raise ValueError(f"{len(self.bits)} bits for an n={self.basis.n} basis")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        ShotBatch([self.basis.codes()], [self.bits], [self.reps])
 
 
 @dataclass(frozen=True)
@@ -67,77 +115,9 @@ class EstimateReport:
     epsilon0: float
 
 
-def records_from_samples(basis: PauliString, bits: np.ndarray) -> list[ShotRecord]:
-    """Fold sampled outcome rows for one basis setting into records,
-    grouping equal outcomes into the reps count."""
-    counts: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for row in bits:
-        key = tuple(int(b) for b in row)
-        if key not in counts:
-            counts[key] = 0
-            order.append(key)
-        counts[key] += 1
-    return [ShotRecord(basis, key, counts[key]) for key in order]
-
-
-class _Prepared:
-    """Records unpacked into arrays: one row per record (reps kept as
-    weights, not expanded)."""
-
-    __slots__ = ("codes", "bits", "reps", "total", "n")
-
-    def __init__(self, records: list[ShotRecord], n: int):
-        if not records:
-            raise EmptyInput("no records to estimate from")
-        for r in records:
-            if r.basis.n != n:
-                raise DimensionMismatch(f"record basis {r.basis} does not fit n={n}")
-        self.n = n
-        self.codes = np.array([r.basis.codes() for r in records], dtype=np.int8)
-        self.bits = np.array([r.bits for r in records], dtype=np.uint8)
-        self.reps = np.array([r.reps for r in records], dtype=float)
-        self.total = float(self.reps.sum())
-
-    def mu(self, term: PauliString) -> np.ndarray:
-        """mu(b, supp(term)) = (-1)^(number of 1-bits on the support)."""
-        idx = list(term.support)
-        if not idx:
-            return np.ones(len(self.bits))
-        parity = self.bits[:, idx].sum(axis=1) & 1
-        return 1.0 - 2.0 * parity.astype(float)
-
-    def hit_mask(self, term: PauliString) -> np.ndarray:
-        """Rows whose basis hits the term."""
-        out = np.ones(len(self.codes), dtype=bool)
-        for i in term.support:
-            out &= self.codes[:, i] == term.code(i)
-        return out
-
-
-def _entry_ids(prep: _Prepared, records: list[ShotRecord], dist: BasisDistribution) -> np.ndarray:
-    lookup = {(b.x, b.z): e for e, (b, _) in enumerate(dist.explicit)}
-    ids = np.empty(len(records), dtype=np.int64)
-    for k, r in enumerate(records):
-        key = (r.basis.x, r.basis.z)
-        if key not in lookup:
-            raise ForeignRecord(f"basis {r.basis} is not an entry of the plan")
-        ids[k] = lookup[key]
-    return ids
-
-
-def _check_fixed_alignment(records: list[ShotRecord], fixed_bases: tuple[PauliString, ...]) -> None:
-    """Records must cover the planned settings in order: either one record
-    per setting, or a constant number per setting (repeated measurements of
-    each setting, written consecutively)."""
-    nb = len(fixed_bases)
-    if nb == 0 or len(records) % nb != 0:
-        raise PlanMismatch(f"{len(records)} records do not cover {nb} planned settings evenly")
-    nr = len(records) // nb
-    for k, b in enumerate(fixed_bases):
-        for r in records[k * nr : (k + 1) * nr]:
-            if (r.basis.x, r.basis.z) != (b.x, b.z):
-                raise ForeignRecord(f"record basis {r.basis} does not match planned basis {b} (setting {k})")
+def _row_keys(letters: np.ndarray) -> np.ndarray:
+    """One integer per letter row (base-4 digits), for whole-basis lookups."""
+    return letters.astype(np.int64) @ (4 ** np.arange(letters.shape[1], dtype=np.int64))
 
 
 def _match_terms(o: WeightedPauliSum, plan: MeasurementPlan) -> list[int | None]:
@@ -147,48 +127,84 @@ def _match_terms(o: WeightedPauliSum, plan: MeasurementPlan) -> list[int | None]
     return [lookup.get((p.x, p.z)) for p in o.paulis]
 
 
-def _entry_of_term(plan: MeasurementPlan) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e, member in enumerate(plan.members):
-        for t in member:
-            out[t] = e
-    return out
+def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
+    """The estimator kernel: for each term O_l of o, in order, yield the rows
+    that enter its estimate, their mu(b, supp O_l) = +-1, and the weight
+    f(P, O_l, K) for which f * sum(reps * mu) / shots is the term's estimate.
 
-
-def per_shot_estimates(records: list[ShotRecord], plan: MeasurementPlan, o: WeightedPauliSum) -> np.ndarray:
-    """o_hat for every record (in record order; reps NOT expanded)."""
-    if not plan.is_randomized:
-        raise PlanMismatch("per-shot estimation applies to randomized plans; use estimate_derandomized")
+    Explicit plans: the rows measured in the entry that owns the term, with
+    f = 1/K(entry); a term the plan does not own gets no rows.  Product
+    plans: the rows whose basis hits the term, with f the product over the
+    support of 1/K_i(P_i).  Fixed-bases plans: the rows that hit the term,
+    with f = shots/s_l, which turns the mean into the average over hits.
+    """
     if o.n != plan.n:
         raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
-    prep = _Prepared(records, plan.n)
-    dist = plan.distribution
-    values = np.zeros(len(records))
-    if dist.kind == "explicit":
-        ids = _entry_ids(prep, records, dist)
-        owner = _entry_of_term(plan)
-        probs = [p for _, p in dist.explicit]
-        for coeff, term, plan_idx in zip(o.coeffs, o.paulis, _match_terms(o, plan)):
-            if plan_idx is None or plan_idx not in owner:
-                continue
-            e = owner[plan_idx]
-            sel = ids == e
-            if np.any(sel):
-                values[sel] += coeff / probs[e] * prep.mu(term)[sel]
-        return values
-    q = dist.product
-    for coeff, term in o:
-        kernel = coeff
-        for i in term.support:
-            kernel /= q[i, term.code(i) - 1]
-        sel = prep.hit_mask(term)
-        if np.any(sel):
-            values[sel] += kernel * prep.mu(term)[sel]
-    return values
+    if len(batch) == 0:
+        raise EmptyInput("no records to estimate from")
+    if batch.n != plan.n:
+        raise DimensionMismatch(f"records of n={batch.n} do not fit plan n={plan.n}")
+    letters, reps, dist = batch.letters, batch.reps, plan.distribution
+    kind = "fixed" if plan.scheme == "derand" else dist.kind
+    if kind == "fixed":
+        nb = len(plan.fixed_bases)
+        if nb == 0 or len(batch) % nb != 0:
+            raise PlanMismatch(f"{len(batch)} records do not cover {nb} planned settings evenly")
+        nr = len(batch) // nb
+        planned = np.repeat(np.array([b.codes() for b in plan.fixed_bases]), nr, axis=0)
+        wrong = np.flatnonzero(np.any(letters != planned, axis=1))
+        if wrong.size:
+            k = int(wrong[0])
+            raise ForeignRecord(f"record basis {batch[k].basis} does not match planned basis "
+                                f"{plan.fixed_bases[k // nr]} (setting {k // nr})")
+    elif kind == "explicit":
+        entry_keys = _row_keys(np.array([b.codes() for b, _ in dist.explicit]))
+        keys = _row_keys(letters)
+        order = np.argsort(entry_keys)
+        ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order), len(order) - 1)]
+        foreign = np.flatnonzero(entry_keys[ids] != keys)
+        if foreign.size:
+            raise ForeignRecord(f"basis {batch[int(foreign[0])].basis} is not an entry of the plan")
+        owner = {t: e for e, member in enumerate(plan.members) for t in member}
+        entry_of = [owner.get(t, -1) for t in _match_terms(o, plan)]
+    for l, term in enumerate(o.paulis):
+        supp = list(term.support)
+        if kind == "explicit":
+            e = entry_of[l]
+            rows = ids == e
+            f = 1.0 / dist.explicit[e][1] if e >= 0 else 0.0
+        else:
+            rows = np.all(letters[:, supp] == term.codes()[supp], axis=1)
+            if kind == "fixed":
+                hit = int(reps[rows].sum())
+                f = batch.shots / hit if hit else 0.0
+            else:
+                f = 1.0
+                for i in supp:
+                    f /= dist.product[i, term.code(i) - 1]
+        parity = batch.bits[rows][:, supp].sum(axis=1) & 1
+        yield rows, 1.0 - 2.0 * parity, f
+
+
+def per_shot_estimates(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum) -> np.ndarray:
+    """o_hat for every row (in row order; reps NOT expanded)."""
+    return _shot_values(batch, plan, o)[0]
+
+
+def _shot_values(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
+    """o_hat per row and the hit counts s_l, in one pass over the kernel."""
+    if not plan.is_randomized:
+        raise PlanMismatch("per-shot estimation applies to randomized plans; use estimate_derandomized")
+    values = np.zeros(len(batch))
+    s_l = np.zeros(len(o), dtype=np.int64)
+    for l, (coeff, (rows, mu, f)) in enumerate(zip(o.coeffs, _terms(batch, plan, o))):
+        s_l[l] = batch.reps[rows].sum()
+        values[rows] += coeff * f * mu
+    return values, s_l
 
 
 def per_term_expectations(
-    records: list[ShotRecord], plan: MeasurementPlan, o: WeightedPauliSum
+    batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-term estimates of <O_l> (coefficients not applied) and the
     weighted hit counts s_l, under any plan kind.
@@ -197,49 +213,18 @@ def per_term_expectations(
     kernel contribution; for fixed-bases plans it is the signed-outcome
     average over hitting shots (0.0 when never hit, flagged by s_l = 0).
     """
-    if o.n != plan.n:
-        raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
-    prep = _Prepared(records, plan.n)
-    L = len(o)
-    vals = np.zeros(L)
-    s_l = np.zeros(L)
-    if plan.scheme == "derand":
-        _check_fixed_alignment(records, plan.fixed_bases)
-        for l, (_, term) in enumerate(o):
-            sel = prep.hit_mask(term)
-            s = float(prep.reps[sel].sum())
-            s_l[l] = s
-            if s > 0:
-                vals[l] = float(np.dot(prep.mu(term)[sel], prep.reps[sel])) / s
-        return vals, s_l
-    dist = plan.distribution
-    if dist.kind == "explicit":
-        ids = _entry_ids(prep, records, dist)
-        owner = _entry_of_term(plan)
-        probs = [p for _, p in dist.explicit]
-        for l, (term, plan_idx) in enumerate(zip(o.paulis, _match_terms(o, plan))):
-            if plan_idx is None or plan_idx not in owner:
-                continue
-            e = owner[plan_idx]
-            sel = ids == e
-            s_l[l] = float(prep.reps[sel].sum())
-            if np.any(sel):
-                vals[l] = float(np.dot(prep.mu(term)[sel], prep.reps[sel])) / (probs[e] * prep.total)
-        return vals, s_l
-    q = dist.product
-    for l, (_, term) in enumerate(o):
-        kernel = 1.0
-        for i in term.support:
-            kernel /= q[i, term.code(i) - 1]
-        sel = prep.hit_mask(term)
-        s_l[l] = float(prep.reps[sel].sum())
-        if np.any(sel):
-            vals[l] = kernel * float(np.dot(prep.mu(term)[sel], prep.reps[sel])) / prep.total
+    reps = batch.reps.astype(float)
+    vals = np.zeros(len(o))
+    s_l = np.zeros(len(o))
+    for l, (rows, mu, f) in enumerate(_terms(batch, plan, o)):
+        s_l[l] = reps[rows].sum()
+        if s_l[l] > 0:
+            vals[l] = f * float(np.dot(mu, reps[rows])) / batch.shots
     return vals, s_l
 
 
 def estimate(
-    records: list[ShotRecord],
+    batch: ShotBatch,
     plan: MeasurementPlan,
     o: WeightedPauliSum,
     aggregator: str = "mean",
@@ -247,34 +232,30 @@ def estimate(
 ) -> EstimateReport:
     """Mean of o_hat over all shots under a randomized plan.
 
-    A record with reps=r contributes as r unit shots.  ``aggregator`` may be
-    "mean" (default) or "medianmeans", which splits the records into
+    A row with reps=r contributes as r unit shots.  ``aggregator`` may be
+    "mean" (default) or "medianmeans", which splits the rows into
     ``batches`` consecutive batches and takes the median of the batch means.
     Terms the dataset never hit are reported through s_l and epsilon0; their
     zero contributions stay in the mean, which is what keeps it unbiased.
     """
-    values = per_shot_estimates(records, plan, o)
-    reps = np.array([r.reps for r in records], dtype=float)
-    total = float(reps.sum())
-    if aggregator == "mean":
-        value = math.fsum(v * w for v, w in zip(values, reps)) / total
-    elif aggregator == "medianmeans":
-        if batches < 1:
-            raise ValueError("batches must be >= 1")
-        edges = np.linspace(0, len(records), min(batches, len(records)) + 1).astype(int)
-        means = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            wsum = reps[lo:hi].sum()
-            means.append(math.fsum(v * w for v, w in zip(values[lo:hi], reps[lo:hi])) / wsum)
-        value = float(np.median(means))
-    else:
+    if aggregator not in ("mean", "medianmeans"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    _, s_l = per_term_expectations(records, plan, o)
-    eps0 = math.fsum(abs(c) for c, s in zip(o.coeffs, s_l) if s == 0)
-    return EstimateReport(float(value), int(total), tuple(int(s) for s in s_l), eps0)
+    if aggregator == "medianmeans" and batches < 1:
+        raise ValueError("batches must be >= 1")
+    values, s_l = _shot_values(batch, plan, o)
+    weighted = values * batch.reps
+    if aggregator == "mean":
+        value = math.fsum(weighted) / batch.shots
+    else:
+        edges = np.linspace(0, len(batch), min(batches, len(batch)) + 1).astype(int)
+        value = float(np.median([math.fsum(weighted[lo:hi]) / batch.reps[lo:hi].sum()
+                                 for lo, hi in zip(edges[:-1], edges[1:])]))
+    return _report(value, batch, o, s_l)
 
 
-def estimate_derandomized(records: list[ShotRecord], plan: MeasurementPlan, o: WeightedPauliSum) -> EstimateReport:
+def estimate_derandomized(
+    batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum
+) -> EstimateReport:
     """Estimator for a fixed-bases plan.
 
     Every term averages its signed outcomes over all shots whose basis hits
@@ -283,11 +264,14 @@ def estimate_derandomized(records: list[ShotRecord], plan: MeasurementPlan, o: W
     """
     if plan.scheme != "derand":
         raise PlanMismatch("plan does not carry fixed bases")
-    vals, s_l = per_term_expectations(records, plan, o)
+    vals, s_l = per_term_expectations(batch, plan, o)
     value = math.fsum(c * v for c, v, s in zip(o.coeffs, vals, s_l) if s > 0)
+    return _report(value, batch, o, s_l)
+
+
+def _report(value: float, batch: ShotBatch, o: WeightedPauliSum, s_l) -> EstimateReport:
     eps0 = math.fsum(abs(c) for c, s in zip(o.coeffs, s_l) if s == 0)
-    total = int(sum(r.reps for r in records))
-    return EstimateReport(float(value), total, tuple(int(s) for s in s_l), eps0)
+    return EstimateReport(float(value), batch.shots, tuple(int(s) for s in s_l), eps0)
 
 
 def _pair_trace_cache(rho: DensityMatrix):

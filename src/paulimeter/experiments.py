@@ -9,12 +9,13 @@ byte-identical to a serial run.
 """
 
 import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .estimators import ShotRecord, estimate, estimate_derandomized, per_term_expectations
+from .estimators import ShotBatch, estimate, estimate_derandomized, per_term_expectations
 from .paulis import PauliString, WeightedPauliSum, square
 from .schemes import (
     MeasurementPlan,
@@ -148,16 +149,13 @@ def _noisy_ghz(n: int, noise: float) -> DensityMatrix:
 
 
 def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
-                  ss: np.random.SeedSequence) -> list[ShotRecord]:
+                  ss: np.random.SeedSequence) -> ShotBatch:
     """ns settings, nr unit shots each, in planned order."""
     basis_ss, outcome_ss = ss.spawn(2)
     bases = draw_bases(plan, ns, np.random.default_rng(basis_ss))
     subs = outcome_ss.spawn(len(bases))
-    records = []
-    for basis, sub in zip(bases, subs):
-        for row in sample_outcomes(rho, basis, nr, sub):
-            records.append(ShotRecord(basis, tuple(int(b) for b in row)))
-    return records
+    outcomes = [sample_outcomes(rho, basis, nr, sub) for basis, sub in zip(bases, subs)]
+    return ShotBatch.from_settings(bases, outcomes)
 
 
 def _fmt(v) -> str:
@@ -184,8 +182,9 @@ def _obs_cell(args):
     records = _cell_records(rho, plan, ns, nr, ss)
     vals, s_l = per_term_expectations(records, plan, pool_sum)
     errs = np.abs(vals - exact_vals)
-    unhit = int(np.sum(s_l == 0))
-    return (scheme, ns, rep, float(np.max(errs)), float(np.mean(errs)), unhit)
+    unhit = s_l == 0
+    return (scheme, ns, rep, float(np.max(errs)), float(np.mean(errs)), int(unhit.sum()),
+            math.fsum(abs(c) for c, u in zip(pool_sum.coeffs, unhit) if u))
 
 
 def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
@@ -211,8 +210,8 @@ def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult
              for rep in range(spec.repetitions)]
     results = _run_cells(_obs_cell, cells, jobs)
     rows = sorted((r[0], r[1], r[2], r[3], r[4]) for r in results)
-    notes = tuple(f"{r[0]} N_s={r[1]} repetition={r[2]}: {r[5]} of "
-                  f"{len(pool)} observables never hit (epsilon0={float(r[5])!r})"
+    notes = tuple(f"{r[0]} N_s={r[1]} repetition={r[2]}: {r[5]} of {len(pool)} "
+                  f"observables never hit, never-hit weight epsilon0={r[6]!r}"
                   for r in sorted(results) if r[5] > 0)
     return RunResult(_csv(("scheme", "N_s", "repetition", "max_abs_error", "mean_abs_error"), rows), notes)
 

@@ -12,9 +12,15 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import EmptyInput, FormatError
+from .estimators import ShotBatch
 from .paulis import PauliString, WeightedPauliSum
 from .schemes import BasisDistribution, MeasurementPlan
+
+
+# letter code per ASCII byte: I, X, Y, Z -> 0..3, anything else -> -1
+_LETTER_CODES = np.full(256, -1, dtype=np.int8)
+_LETTER_CODES[np.frombuffer(b"IXYZ", dtype=np.uint8)] = np.arange(4)
 
 
 def _fail(path: str, lineno: int, msg: str):
@@ -80,53 +86,72 @@ def write_hamiltonian(path: str, o: WeightedPauliSum, comment: str = "") -> None
         fh.write("\n".join(lines) + "\n")
 
 
-def parse_records(path: str):
+def parse_records(path: str) -> ShotBatch:
     """Read a record file: '<basis> <bits> [reps]' per line."""
-    from .estimators import ShotRecord
-
-    out = []
-    n = None
+    linenos, bases, bits, reps = [], [], [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) not in (2, 3):
                 _fail(path, lineno, "record lines are '<basis> <bits> [reps]'")
+            linenos.append(lineno)
+            bases.append(parts[0])
+            bits.append(parts[1])
             try:
-                basis = PauliString.from_text(parts[0])
-            except ValueError as exc:
-                _fail(path, lineno, str(exc))
-            if n is None:
-                n = basis.n
-            elif basis.n != n:
-                _fail(path, lineno, f"basis {parts[0]} does not fit n={n}")
-            if len(parts[1]) != n or any(c not in "01" for c in parts[1]):
-                _fail(path, lineno, f"bits {parts[1]!r} must be {n} characters of 0/1")
-            reps = 1
-            if len(parts) == 3:
-                try:
-                    reps = int(parts[2])
-                except ValueError:
-                    _fail(path, lineno, f"bad reps {parts[2]!r}")
-                if reps < 1:
-                    _fail(path, lineno, "reps must be >= 1")
-            try:
-                out.append(ShotRecord(basis, tuple(int(c) for c in parts[1]), reps))
-            except ValueError as exc:
-                _fail(path, lineno, str(exc))
-    return out
+                reps.append(int(parts[2]) if len(parts) == 3 else 1)
+            except ValueError:
+                _fail(path, lineno, f"bad reps {parts[2]!r}")
+            if not 1 <= reps[-1] < 1 << 63:
+                _fail(path, lineno, "reps must be >= 1 and below 2**63")
+    if not linenos:
+        raise EmptyInput(f"{path}: no record lines")
+    n = len(bases[0])
+
+    def first_bad(bad: np.ndarray, message) -> None:
+        if bad.any():
+            k = int(np.argmax(bad))
+            _fail(path, linenos[k], message(k))
+
+    def chars(fields: list[str]) -> np.ndarray:
+        data = "".join(fields).encode("ascii", "replace")
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, n)
+
+    def bad_bits(k: int) -> str:
+        return f"bits {bits[k]!r} must be {n} characters of 0/1"
+
+    first_bad(np.array([len(b) for b in bases]) != n,
+              lambda k: f"basis {bases[k]} does not fit n={n}")
+    letters = _LETTER_CODES[chars(bases)]
+    first_bad(np.any(letters < 0, axis=1), lambda k: f"invalid Pauli letter in {bases[k]!r}")
+    first_bad(np.any(letters == 0, axis=1),
+              lambda k: f"record basis {bases[k]} contains identity letters")
+    first_bad(np.array([len(b) for b in bits]) != n, bad_bits)
+    bit_rows = chars(bits) - ord("0")
+    first_bad(np.any(bit_rows > 1, axis=1), bad_bits)
+    try:
+        return ShotBatch(letters, bit_rows, reps)
+    except ValueError as exc:
+        _fail(path, linenos[0], str(exc))
 
 
-def write_records(path: str, records) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            bits = "".join(str(b) for b in r.bits)
-            if r.reps == 1:
-                fh.write(f"{r.basis.letters} {bits}\n")
-            else:
-                fh.write(f"{r.basis.letters} {bits} {r.reps}\n")
+def write_records(path: str, records: ShotBatch) -> None:
+    """Write '<basis> <bits>' lines, with the reps column only where reps > 1."""
+    n = records.n
+    plural = records.reps > 1
+    digits = records.reps.astype(bytes)
+    digits = digits.view(np.uint8).reshape(len(records), digits.itemsize) * plural[:, None]
+    lines = np.zeros((len(records), 2 * n + 3 + digits.shape[1]), dtype=np.uint8)
+    lines[:, :n] = np.frombuffer(b"IXYZ", dtype=np.uint8)[records.letters]
+    lines[:, n] = ord(" ")
+    lines[:, n + 1 : 2 * n + 1] = records.bits + ord("0")
+    lines[:, 2 * n + 1] = ord(" ") * plural
+    lines[:, 2 * n + 2 : -1] = digits
+    lines[:, -1] = ord("\n")
+    data = lines.ravel()
+    with open(path, "wb") as fh:
+        fh.write(data[data != 0].tobytes())
 
 
 def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float = 0.25, h2: float = 0.25) -> WeightedPauliSum:
@@ -213,7 +238,11 @@ def plan_to_dict(plan: MeasurementPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> MeasurementPlan:
+    n = int(d["n"])
     terms = tuple(PauliString.from_text(t) for t in d["terms"])
+    members = tuple(tuple(m) for m in d["members"]) if "members" in d else None
+    if members is not None and any(t not in range(len(terms)) for m in members for t in m):
+        raise ValueError(f"members name term indices outside 0..{len(terms) - 1}")
     distribution = None
     if "distribution" in d:
         dd = d["distribution"]
@@ -222,13 +251,16 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
                 "explicit",
                 explicit=tuple((PauliString.from_text(b), float(p)) for b, p in dd["entries"]),
             )
+            if len(members or ()) != len(distribution.explicit):
+                raise ValueError("explicit plans need one members group per entry")
         else:
             distribution = BasisDistribution("product", product=np.array(dd["q"], dtype=float))
-    members = tuple(tuple(m) for m in d["members"]) if "members" in d else None
+            if distribution.product.shape != (n, 3):
+                raise ValueError(f"product table has shape {distribution.product.shape}, not ({n}, 3)")
     fixed = tuple(PauliString.from_text(b) for b in d["fixed_bases"]) if "fixed_bases" in d else None
     return MeasurementPlan(
         scheme=d["scheme"],
-        n=int(d["n"]),
+        n=n,
         terms=terms,
         distribution=distribution,
         members=members,

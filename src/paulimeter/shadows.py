@@ -28,7 +28,8 @@ from .errors import (
     FeasibilityError,
     InvalidBasis,
 )
-from .paulis import PauliString, WeightedPauliSum
+from .estimators import ShotBatch
+from .paulis import PauliString
 from .states import DensityMatrix, SubsystemMask, sample_outcomes
 
 _PAULI_2X2 = (
@@ -104,63 +105,45 @@ def snapshot(basis: PauliString, bits) -> Snapshot:
     return Snapshot(basis, tuple(int(b) for b in bits))
 
 
-class ShadowSet:
-    """Ordered snapshot collection stored as (letter, sign) arrays.
+class ShadowSet(ShotBatch):
+    """Ordered snapshot collection: a shot batch with every reps = 1.
 
     ``letters[k, i]`` is the measured Pauli letter code (1=X, 2=Y, 3=Z) on
     site i of snapshot k; ``signs[k, i]`` is the outcome eigenvalue +-1.
     ``seed_info`` records how the set was generated.
     """
 
-    def __init__(self, n: int, letters: np.ndarray, signs: np.ndarray, seed_info: str = ""):
+    def __init__(self, n: int, letters, signs, seed_info: str = ""):
         letters = np.asarray(letters, dtype=np.int8)
         signs = np.asarray(signs, dtype=np.int8)
         if letters.ndim != 2 or letters.shape[1] != n or letters.shape != signs.shape:
             raise DimensionMismatch("letters and signs must both be (N, n)")
-        if letters.size and (letters.min() < 1 or letters.max() > 3):
-            raise ValueError("letter codes must be 1, 2 or 3")
         if signs.size and not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1")
-        self.n = n
-        self.letters = letters
-        self.signs = signs
+        super().__init__(letters, signs < 0)
         self.seed_info = seed_info
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    @property
+    def signs(self) -> np.ndarray:
+        return 1 - 2 * self.bits.astype(np.int8)
 
     def __getitem__(self, k: int) -> Snapshot:
-        basis = PauliString.from_codes(self.letters[k].tolist())
-        bits = tuple(int(s < 0) for s in self.signs[k])
-        return Snapshot(basis, bits)
+        return snapshot(PauliString.from_codes(self.letters[k]), self.bits[k])
 
     @classmethod
-    def from_records(cls, records, n: int, seed_info: str = "") -> "ShadowSet":
-        """Expand shot records (reps included) into one snapshot per shot."""
-        letters = []
-        signs = []
-        for r in records:
-            if r.basis.n != n:
-                raise DimensionMismatch(f"record basis {r.basis} does not fit n={n}")
-            row_l = r.basis.codes()
-            row_s = np.array([1 - 2 * b for b in r.bits], dtype=np.int8)
-            for _ in range(r.reps):
-                letters.append(row_l)
-                signs.append(row_s)
-        if not letters:
+    def from_records(cls, records: ShotBatch, n: int, seed_info: str = "") -> "ShadowSet":
+        """Expand a shot batch (reps included) into one snapshot per shot."""
+        if records.n != n:
+            raise DimensionMismatch(f"records of n={records.n} do not fit n={n}")
+        if len(records) == 0:
             raise EmptyInput("no records to build shadows from")
-        return cls(n, np.array(letters), np.array(signs), seed_info)
+        letters = np.repeat(records.letters, records.reps, axis=0)
+        signs = 1 - 2 * np.repeat(records.bits, records.reps, axis=0).astype(np.int8)
+        return cls(n, letters, signs, seed_info)
 
-    def records(self):
-        """Serialize as one shot record per snapshot (lossless)."""
-        from .estimators import ShotRecord
-
-        out = []
-        for k in range(len(self)):
-            basis = PauliString.from_codes(self.letters[k].tolist())
-            bits = tuple(int(s < 0) for s in self.signs[k])
-            out.append(ShotRecord(basis, bits))
-        return out
+    def records(self) -> ShotBatch:
+        """The set as a shot batch, one row per snapshot (lossless)."""
+        return self
 
 
 def collect_shadows(rho: DensityMatrix, ns: int, seed, mode: str = "pauli") -> ShadowSet:
@@ -204,7 +187,7 @@ def _site_factors(shadows: ShadowSet, sites, transpose_sites=frozenset()) -> np.
     """(N, len(sites), 2, 2) factor array, transposed on the given sites."""
     cols = []
     for i in sites:
-        f = _FACTOR[shadows.letters[:, i] - 1, (shadows.signs[:, i] < 0).astype(int)]
+        f = _FACTOR[shadows.letters[:, i] - 1, shadows.bits[:, i]]
         if i in transpose_sites:
             f = f.transpose(0, 2, 1)
         cols.append(f)
@@ -235,32 +218,10 @@ def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
     return total / count
 
 
-def estimate_observable_from_shadows(shadows: ShadowSet, o: WeightedPauliSum) -> float:
-    """Mean of Tr(rho_hat O), evaluated factor-wise: a term contributes
-    3^|supp| times the product of its outcome signs whenever every support
-    letter matches, which is identical to the uniform-basis kernel path."""
-    count = _require(shadows, 1, "observable estimation")
-    if o.n != shadows.n:
-        raise DimensionMismatch(f"observable n={o.n}, shadows n={shadows.n}")
-    total = 0.0
-    for coeff, term in o:
-        idx = list(term.support)
-        if not idx:
-            total += coeff
-            continue
-        want = np.array([term.code(i) for i in idx], dtype=np.int8)
-        hit = np.all(shadows.letters[:, idx] == want, axis=1)
-        if not np.any(hit):
-            continue
-        prod_signs = shadows.signs[hit][:, idx].prod(axis=1).astype(float)
-        total += coeff * (3.0 ** len(idx)) * float(prod_signs.sum()) / count
-    return total
-
-
 def _phi_rows(shadows: ShadowSet, sites) -> np.ndarray:
     """(N, m, 4) purity feature vectors."""
     cols = [
-        _PHI[shadows.letters[:, i] - 1, (shadows.signs[:, i] < 0).astype(int)]
+        _PHI[shadows.letters[:, i] - 1, shadows.bits[:, i]]
         for i in sites
     ]
     return np.stack(cols, axis=1)
@@ -299,7 +260,7 @@ def purity_ustat(shadows: ShadowSet, a: SubsystemMask) -> float:
         pair = np.ones((count, count))
         for i in sites:
             same_w = shadows.letters[:, i : i + 1] == shadows.letters[:, i]
-            same_s = shadows.signs[:, i : i + 1] == shadows.signs[:, i]
+            same_s = shadows.bits[:, i : i + 1] == shadows.bits[:, i]
             pair *= np.where(same_w, np.where(same_s, 5.0, -4.0), 0.5)
         pair_sum = float(pair.sum()) - count * 5.0 ** m
     return pair_sum / (count * (count - 1))

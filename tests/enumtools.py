@@ -9,13 +9,14 @@ import itertools
 
 import numpy as np
 
-from paulimeter.estimators import ShotRecord, per_shot_estimates
+from paulimeter.estimators import ShotBatch, per_shot_estimates
 from paulimeter.paulis import PauliString
 from paulimeter.states import born_distribution, sample_outcomes
 
 
 def weighted_shots(plan, rho):
-    """All (record, probability) pairs of one shot under a randomized plan."""
+    """Every (basis, outcome) row one shot can produce under a randomized
+    plan, as a ShotBatch, and the probability of each row."""
     n = plan.n
     dist = plan.distribution
     if dist.kind == "explicit":
@@ -29,17 +30,18 @@ def weighted_shots(plan, rho):
                 prob *= float(q[i, c - 1])
             if prob > 0.0:
                 basis_probs.append((PauliString.from_codes(codes), prob))
-    records = []
+    letters = []
+    bits = []
     weights = []
     for basis, bp in basis_probs:
         outcome_probs = born_distribution(rho, basis)
         for idx, op in enumerate(outcome_probs):
             if op <= 0.0:
                 continue
-            bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-            records.append(ShotRecord(basis, bits))
+            letters.append(basis.codes())
+            bits.append([(idx >> (n - 1 - i)) & 1 for i in range(n)])
             weights.append(bp * float(op))
-    return records, np.array(weights)
+    return ShotBatch(letters, bits), np.array(weights)
 
 
 def enumerate_moments(plan, o, rho):
@@ -52,14 +54,12 @@ def enumerate_moments(plan, o, rho):
 
 
 def sample_records(plan, rho, ns, seed, nr=1):
-    """Simulate ns settings drawn from the plan, nr unit records each."""
+    """Simulate ns settings drawn from the plan, nr unit-shot rows each."""
     from paulimeter.schemes import draw_bases
 
     ss = np.random.SeedSequence(seed)
     basis_ss, outcome_ss = ss.spawn(2)
     bases = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    records = []
-    for child, basis in zip(outcome_ss.spawn(ns), bases):
-        for row in sample_outcomes(rho, basis, nr, child):
-            records.append(ShotRecord(basis, tuple(int(b) for b in row)))
-    return records
+    return ShotBatch.from_settings(
+        bases, [sample_outcomes(rho, basis, nr, child) for child, basis in zip(outcome_ss.spawn(ns), bases)]
+    )

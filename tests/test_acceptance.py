@@ -17,6 +17,7 @@ import pytest
 from conftest import record_criterion
 from enumtools import enumerate_moments, weighted_shots
 from paulimeter.estimators import (
+    ShotBatch,
     ShotRecord,
     per_shot_estimates,
     variance_generic,
@@ -302,7 +303,8 @@ def empirical_single_shot_variance(plan, o, rho, shots, seed):
             bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
             records.append(ShotRecord(basis, bits))
             reps.append(int(m))
-    values = per_shot_estimates(records, plan, o)
+    batch = ShotBatch([r.basis.codes() for r in records], [r.bits for r in records])
+    values = per_shot_estimates(batch, plan, o)
     w = np.array(reps, dtype=float)
     total = w.sum()
     mean = float(np.dot(w, values)) / total

@@ -14,12 +14,12 @@ from paulimeter.errors import (
     PlanMismatch,
 )
 from paulimeter.estimators import (
+    ShotBatch,
     ShotRecord,
     estimate,
     estimate_derandomized,
     per_shot_estimates,
     per_term_expectations,
-    records_from_samples,
     sample_size_linear,
     sample_size_nonlinear,
     variance_generic,
@@ -58,11 +58,29 @@ def test_shot_record_validation():
         ShotRecord(P("ZZ"), (0, 0), reps=0)
 
 
-def test_records_from_samples_folds_duplicates():
-    bits = np.array([[0, 0], [1, 1], [0, 0], [0, 1], [0, 0]])
-    recs = records_from_samples(P("ZZ"), bits)
-    assert [(r.bits, r.reps) for r in recs] == [((0, 0), 3), ((1, 1), 1), ((0, 1), 1)]
-    assert all(r.basis == P("ZZ") for r in recs)
+@pytest.mark.parametrize(
+    "letters,bits,reps",
+    [
+        ([[3, 0]], [[0, 0]], [1]),
+        ([[3, 3]], [[0, 2]], [1]),
+        ([[3, 3]], [[0, 0]], [0]),
+        ([[3, 3]], [[0]], [1]),
+        ([[3, 3]], [[0, 0]], [1, 1]),
+    ],
+    ids=["identity", "bit2", "reps0", "bits-shape", "reps-shape"],
+)
+def test_shot_batch_validation(letters, bits, reps):
+    with pytest.raises(ValueError):
+        ShotBatch(letters, bits, reps)
+
+
+def test_shot_batch_rows():
+    batch = ShotBatch([[3, 1], [2, 2], [1, 3]], [[0, 1], [1, 1], [0, 0]], [1, 4, 2])
+    assert batch.n == 2 and len(batch) == 3 and batch.shots == 7
+    assert batch[1] == ShotRecord(P("YY"), (1, 1), 4)
+    assert [r.basis for r in batch] == [P("ZX"), P("YY"), P("XZ")]
+    assert batch == ShotBatch(batch.letters.copy(), batch.bits.copy(), batch.reps.copy())
+    assert batch != ShotBatch(batch.letters, batch.bits)
 
 
 @pytest.mark.parametrize(
@@ -195,10 +213,8 @@ def test_estimate_reports_unplanned_term_as_bias():
 
 def test_estimate_derandomized_ghz_exact():
     plan = plan_derandomized(OBS_B, 6)
-    records = []
     rho = ghz(2)
-    for k, basis in enumerate(plan.fixed_bases):
-        records.extend(sample_records_for_basis(rho, basis, 25, seed=100 + k))
+    records = sample_records_for_bases(rho, plan.fixed_bases, 25, seed=100)
     report = estimate_derandomized(records, plan, OBS_B)
     # both ZZ and XX stabilize the GHZ pair, so every outcome is +1
     assert report.value == pytest.approx(0.3, abs=1e-12)
@@ -207,18 +223,20 @@ def test_estimate_derandomized_ghz_exact():
     assert report.n_samples == 150
 
 
-def sample_records_for_basis(rho, basis, nr, seed):
+def sample_records_for_bases(rho, bases, nr, seed):
+    """nr unit shots in each basis in turn, the k-th basis seeded seed + k."""
     from paulimeter.states import sample_outcomes
 
-    rows = sample_outcomes(rho, basis, nr, seed)
-    return [ShotRecord(basis, tuple(int(b) for b in row)) for row in rows]
+    return ShotBatch.from_settings(
+        bases, [sample_outcomes(rho, basis, nr, seed + k) for k, basis in enumerate(bases)]
+    )
 
 
 def test_estimate_derandomized_reports_unhit_weight():
     plan = plan_derandomized(OBS_B, 1)
     assert plan.unhit_terms == (0,)
     basis = plan.fixed_bases[0]
-    records = sample_records_for_basis(ghz(2), basis, 10, seed=3)
+    records = sample_records_for_bases(ghz(2), [basis], 10, seed=3)
     report = estimate_derandomized(records, plan, OBS_B)
     assert report.value == pytest.approx(-0.5, abs=1e-12)
     assert report.epsilon0 == pytest.approx(0.8)
@@ -228,13 +246,12 @@ def test_estimate_derandomized_reports_unhit_weight():
 def test_alignment_and_kind_errors():
     plan = plan_derandomized(OBS_B, 4)
     rho = ghz(2)
-    records = []
-    for k, basis in enumerate(plan.fixed_bases):
-        records.extend(sample_records_for_basis(rho, basis, 2, seed=k))
+    records = sample_records_for_bases(rho, plan.fixed_bases, 2, seed=0)
     estimate_derandomized(records, plan, OBS_B)  # aligned; should not raise
     with pytest.raises(PlanMismatch):
-        estimate_derandomized(records[:-1], plan, OBS_B)
-    shuffled = records[2:4] + records[0:2] + records[4:]
+        estimate_derandomized(ShotBatch(records.letters[:-1], records.bits[:-1]), plan, OBS_B)
+    order = np.r_[2:4, 0:2, 4:len(records)]
+    shuffled = ShotBatch(records.letters[order], records.bits[order])
     if str(plan.fixed_bases[0]) != str(plan.fixed_bases[1]):
         with pytest.raises(ForeignRecord):
             estimate_derandomized(shuffled, plan, OBS_B)
@@ -249,12 +266,12 @@ def test_alignment_and_kind_errors():
 def test_foreign_and_empty_records():
     plan = plan_l1(OBS_A)
     with pytest.raises(ForeignRecord):
-        per_shot_estimates([ShotRecord(P("XY"), (0, 0))], plan, OBS_A)
+        per_shot_estimates(ShotBatch([P("XY").codes()], [(0, 0)]), plan, OBS_A)
     with pytest.raises(EmptyInput):
-        estimate([], plan, OBS_A)
+        estimate(ShotBatch(np.empty((0, 2)), np.empty((0, 2))), plan, OBS_A)
     with pytest.raises(DimensionMismatch):
         per_shot_estimates(
-            [ShotRecord(P("ZZ"), (0, 0))],
+            ShotBatch([P("ZZ").codes()], [(0, 0)]),
             plan,
             WeightedPauliSum(3, [(1.0, P("ZZZ"))]),
         )

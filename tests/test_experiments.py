@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import statistics
 
 import numpy as np
@@ -24,7 +25,8 @@ from paulimeter.formats import (
     read_plan,
     write_hamiltonian,
 )
-from paulimeter.paulis import PauliString, WeightedPauliSum
+from paulimeter.paulis import PauliString, WeightedPauliSum, hits
+from paulimeter.schemes import plan_derandomized
 from paulimeter.states import SubsystemMask
 
 P = PauliString.from_text
@@ -417,3 +419,66 @@ def test_cli_estimate_derand_alignment(tmp_path):
     rows = rows_of(out_csv.read_text())
     # GHZ is the default sampled state and both terms stabilize it
     assert float(rows[0]["value"]) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--hamiltonian", "builtin:lattice4", "--scheme", "cs"],
+        ["purity"],
+        ["ptmoments", "--mask", "1"],
+        ["certify"],
+    ],
+    ids=["estimate", "purity", "ptmoments", "certify"],
+)
+def test_cli_empty_record_file_exits_2(tmp_path, args):
+    rec_path = tmp_path / "empty.rec"
+    rec_path.write_text("# no shots\n\n")
+    result = run_cli(args + ["--records", str(rec_path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {rec_path}: no record lines"]
+
+
+@pytest.mark.parametrize(
+    "scheme,corrupt,fragment",
+    [
+        ("ldf", lambda d: d["members"].__setitem__(0, [99]), "term indices"),
+        ("lbcs", lambda d: d["distribution"].__setitem__("q", d["distribution"]["q"][:3]),
+         "product table"),
+    ],
+    ids=["members-out-of-range", "product-table-shape"],
+)
+def test_cli_malformed_plan_exits_2(tmp_path, scheme, corrupt, fragment):
+    plan_path = tmp_path / "plan.json"
+    run_cli(["plan", "--scheme", scheme, "--hamiltonian", "builtin:lattice4", "--out", str(plan_path)])
+    d = json.loads(plan_path.read_text())
+    corrupt(d)
+    plan_path.write_text(json.dumps(d))
+    result = run_cli(["sample", "--plan", str(plan_path), "--ns", "5", "--out", str(tmp_path / "r.rec")])
+    assert result.exit_code == 2
+    (line,) = result.stderr.splitlines()
+    assert "bad plan file" in line and fragment in line
+
+
+def test_cli_bench_observables_pool_follows_qubits(tmp_path):
+    out = tmp_path / "obs.csv"
+    args = ["bench", "observables", "--scheme", "cs", "--ns", "20", "--reps", "2", "--seed", "3"]
+    assert run_cli(args + ["--qubits", "4", "--out", str(out)]).exit_code == 0
+    spec = ExperimentSpec(task="observables", schemes=("cs",), ns_grid=(20,), repetitions=2, seed=3)
+    assert out.read_text() == run_observables_experiment(spec).csv
+    result = run_cli(args + ["--qubits", "3"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == ["error: pool of 50 exceeds the 36 available strings"]
+
+
+def test_observables_notes_report_count_and_weight_separately():
+    pool = default_observable_pool()[:6]
+    spec = ExperimentSpec(task="observables", schemes=("derand",), ns_grid=(1,), nr=1,
+                          repetitions=1, seed=0, observables=pool)
+    (basis,) = plan_derandomized(WeightedPauliSum(4, tuple((1.0, p) for p in pool)), 1).fixed_bases
+    unhit = sum(not hits(basis, p) for p in pool)
+    assert unhit > 0
+    assert run_observables_experiment(spec).notes == (
+        f"derand N_s=1 repetition=0: {unhit} of 6 observables never hit, "
+        f"never-hit weight epsilon0={float(unhit)!r}",
+    )

@@ -1,10 +1,14 @@
 """File formats: Hamiltonians, shot records, plan JSON, built-in models."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimeter.errors import FormatError
-from paulimeter.estimators import ShotRecord
+from paulimeter.estimators import ShotBatch, ShotRecord
 from paulimeter.formats import (
     builtin_hamiltonian,
     load_hamiltonian,
@@ -95,7 +99,8 @@ def test_records_round_trip_large(tmp_path):
         reps = int(rng.integers(1, 4))
         records.append(ShotRecord(PauliString.from_codes(codes), bits, reps))
     path = tmp_path / "r.rec"
-    write_records(str(path), records)
+    write_records(str(path), ShotBatch([r.basis.codes() for r in records], [r.bits for r in records],
+                                       [r.reps for r in records]))
     back = parse_records(str(path))
     assert len(back) == len(records)
     for a, b in zip(records, back):
@@ -107,6 +112,28 @@ def test_records_reps_default(tmp_path):
     path.write_text("# shots\nXZY 010\nXZY 010 5\n")
     back = parse_records(str(path))
     assert [(r.reps, r.bits) for r in back] == [(1, (0, 1, 0)), (5, (0, 1, 0))]
+
+
+@st.composite
+def shot_batches(draw):
+    n = draw(st.integers(1, 6))
+    row = st.tuples(
+        st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.integers(1, 2 ** 62),
+    )
+    letters, bits, reps = zip(*draw(st.lists(row, min_size=1, max_size=20)))
+    # unit reps everywhere leave the reps column out of the whole file
+    return ShotBatch(letters, bits, None if draw(st.booleans()) else reps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shot_batches())
+def test_records_round_trip_property(batch):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/r.rec"
+        write_records(path, batch)
+        assert parse_records(path) == batch
 
 
 @pytest.mark.parametrize(

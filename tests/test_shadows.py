@@ -13,14 +13,13 @@ from paulimeter.errors import (
     FeasibilityError,
     InvalidBasis,
 )
-from paulimeter.estimators import ShotRecord, estimate
+from paulimeter.estimators import ShotBatch, estimate
 from paulimeter.paulis import PauliString, WeightedPauliSum
 from paulimeter.schemes import plan_uniform_cs
 from paulimeter.shadows import (
     ShadowSet,
     Snapshot,
     collect_shadows,
-    estimate_observable_from_shadows,
     p3_ppt_certificate,
     pt_moment_ustat,
     purity_certificate,
@@ -129,7 +128,7 @@ def test_clifford24_mode_matches_pauli_law():
     sh = collect_shadows(rho, 4000, 5, mode="clifford24")
     assert set(np.unique(sh.letters)) <= {1, 2, 3}
     o = WeightedPauliSum(2, [(1.0, P("ZZ")), (1.0, P("XX"))])
-    est = estimate_observable_from_shadows(sh, o)
+    est = estimate(sh, plan_uniform_cs(2), o).value
     assert est == pytest.approx(2.0, abs=0.5)
 
 
@@ -139,13 +138,13 @@ def test_records_round_trip_and_validation():
     back = ShadowSet.from_records(sh.records(), 2)
     np.testing.assert_array_equal(back.letters, sh.letters)
     np.testing.assert_array_equal(back.signs, sh.signs)
-    reps = [ShotRecord(P("XZ"), (0, 1), reps=3)]
+    reps = ShotBatch([P("XZ").codes()], [(0, 1)], [3])
     expanded = ShadowSet.from_records(reps, 2)
     assert len(expanded) == 3
     with pytest.raises(EmptyInput):
-        ShadowSet.from_records([], 2)
+        ShadowSet.from_records(ShotBatch(np.empty((0, 2)), np.empty((0, 2))), 2)
     with pytest.raises(DimensionMismatch):
-        ShadowSet.from_records([ShotRecord(P("X"), (0,))], 2)
+        ShadowSet.from_records(ShotBatch([P("X").codes()], [(0,)]), 2)
     with pytest.raises(ValueError):
         ShadowSet(1, np.array([[4]]), np.array([[1]]))
     with pytest.raises(ValueError):
@@ -169,17 +168,17 @@ def test_shadow_estimate_equals_uniform_kernel_estimate():
     o = WeightedPauliSum(2, [(0.7, P("ZX")), (-0.2, P("IY")), (0.4, P("XX"))])
     sh = collect_shadows(rho, 400, 7)
     plan = plan_uniform_cs(2)
-    kernel = estimate(sh.records(), plan, o)
-    assert estimate_observable_from_shadows(sh, o) == pytest.approx(
-        kernel.value, abs=1e-10
-    )
+    kernel = estimate(sh, plan, o)
+    # the mean of Tr(rho_hat O) over the dense snapshot matrices
+    dense = np.mean([np.trace(sh[k].to_matrix() @ o.to_matrix()).real for k in range(len(sh))])
+    assert kernel.value == pytest.approx(dense, abs=1e-10)
     assert abs(kernel.value - exact_expectation(rho, o)) < 5 * 3.0 / math.sqrt(400)
 
 
 def test_estimate_observable_identity_term():
     sh = collect_shadows(ghz(2), 10, 1)
     o = WeightedPauliSum(2, [(0.5, P("II"))])
-    assert estimate_observable_from_shadows(sh, o) == pytest.approx(0.5, abs=1e-12)
+    assert estimate(sh, plan_uniform_cs(2), o).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_purity_pair_values():
