@@ -11,7 +11,8 @@ factorized product kernel prod_i (delta_{Q_i,I} + K_i(P_i)^{-1} delta_{Q_i,P_i})
 for the product schemes (uniform and locally biased randomized bases).  The
 probability-weighted average of o_hat over bases and outcomes is exactly
 Tr(O rho) for every scheme; the analytic variance calculators below give the
-single-shot variance of the same estimators.
+single-shot variance of the same estimators.  Each builds its kernel's second
+moments g[l, l'] = E_P[f(P, O_l) f(P, O_l')] and hands them to one kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     ForeignRecord,
     PlanMismatch,
 )
-from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, compatible, hits, multiply
+from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, multiply
 from .schemes import BasisDistribution, MeasurementPlan
 from .states import DensityMatrix, exact_expectation
 
@@ -120,11 +121,14 @@ def _row_keys(letters: np.ndarray) -> np.ndarray:
     return letters.astype(np.int64) @ (4 ** np.arange(letters.shape[1], dtype=np.int64))
 
 
-def _match_terms(o: WeightedPauliSum, plan: MeasurementPlan) -> list[int | None]:
-    """Index of each observable term inside the plan's term list (None if
-    the plan was built without it)."""
-    lookup = {(p.x, p.z): i for i, p in enumerate(plan.terms)}
-    return [lookup.get((p.x, p.z)) for p in o.paulis]
+def _entry_of(o: WeightedPauliSum, plan: MeasurementPlan) -> np.ndarray:
+    """Index of the explicit plan entry that measures each term of o (-1 if
+    the plan was built without the term or no entry owns it)."""
+    if plan.members is None:
+        raise PlanMismatch("explicit plan carries no term membership")
+    index = {(p.x, p.z): i for i, p in enumerate(plan.terms)}
+    owner = {t: e for e, member in enumerate(plan.members) for t in member}
+    return np.array([owner.get(index.get((p.x, p.z)), -1) for p in o.paulis], dtype=np.int64)
 
 
 def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
@@ -158,6 +162,7 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
             raise ForeignRecord(f"record basis {batch[k].basis} does not match planned basis "
                                 f"{plan.fixed_bases[k // nr]} (setting {k // nr})")
     elif kind == "explicit":
+        entry_of = _entry_of(o, plan)
         entry_keys = _row_keys(np.array([b.codes() for b, _ in dist.explicit]))
         keys = _row_keys(letters)
         order = np.argsort(entry_keys)
@@ -165,8 +170,6 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
         foreign = np.flatnonzero(entry_keys[ids] != keys)
         if foreign.size:
             raise ForeignRecord(f"basis {batch[int(foreign[0])].basis} is not an entry of the plan")
-        owner = {t: e for e, member in enumerate(plan.members) for t in member}
-        entry_of = [owner.get(t, -1) for t in _match_terms(o, plan)]
     for l, term in enumerate(o.paulis):
         supp = list(term.support)
         if kind == "explicit":
@@ -274,53 +277,43 @@ def _report(value: float, batch: ShotBatch, o: WeightedPauliSum, s_l) -> Estimat
     return EstimateReport(float(value), batch.shots, tuple(int(s) for s in s_l), eps0)
 
 
-def _pair_trace_cache(rho: DensityMatrix):
-    cache: dict[tuple[int, int], float] = {}
+def _second_moment(o: WeightedPauliSum, rho: DensityMatrix, g: np.ndarray) -> float:
+    """Single-shot variance of the unified estimator whose kernel has the
+    second moments g[l, l'] = E_P[f(P, O_l) f(P, O_l')]:
+    Tr(rho sum_{l,l'} alpha_l alpha_l' g[l, l'] O_l O_l') - Tr(O rho)^2."""
+    pairs = [(o.coeffs[l] * o.coeffs[m] * g[l, m], multiply(o.paulis[l], o.paulis[m]))
+             for l, m in zip(*np.nonzero(g))]
+    if any(prod.phase != 1 for _, prod in pairs):
+        raise AssertionError("terms measured in a common basis must agree sitewise")
+    moment = WeightedPauliSum.from_terms(o.n, [(w, prod.pauli) for w, prod in pairs])
+    return exact_expectation(rho, moment) - exact_expectation(rho, o) ** 2
 
-    def tr(pauli: PauliString, phase: complex) -> float:
-        key = (pauli.x, pauli.z)
-        if key not in cache:
-            cache[key] = float(np.real(np.einsum("ij,ji->", rho.mat, pauli.to_matrix())))
-        val = phase * cache[key]
-        if abs(val.imag) > 1e-10:
-            raise AssertionError("pair trace came out complex")
-        return float(val.real)
 
-    return tr
+def _explicit_probs(plan: MeasurementPlan, o: WeightedPauliSum, name: str) -> np.ndarray:
+    """Entry probabilities K of an explicit plan over the qubits of o."""
+    if plan.distribution is None or plan.distribution.kind != "explicit":
+        raise PlanMismatch(f"{name} needs an explicit plan")
+    if plan.n != o.n:
+        raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
+    return np.array([p for _, p in plan.distribution.explicit])
 
 
 def variance_l1(o: WeightedPauliSum, rho: DensityMatrix) -> float:
     """Single-shot variance of importance sampling: ||alpha||_1^2 - Tr(O rho)^2."""
-    if o.n != rho.n:
-        raise DimensionMismatch(f"observable n={o.n}, state n={rho.n}")
-    mean = exact_expectation(rho, o)
-    return o.l1_norm ** 2 - mean ** 2
+    return o.l1_norm ** 2 - exact_expectation(rho, o) ** 2
 
 
 def variance_grouping(plan: MeasurementPlan, o: WeightedPauliSum, rho: DensityMatrix) -> float:
     """Single-shot variance of a membership plan:
-    sum_j K(P_j)^{-1} sum_{l,l' in S_j} alpha_l alpha_l' Tr(rho O_l O_l') - Tr(O rho)^2."""
-    if plan.distribution is None or plan.distribution.kind != "explicit" or plan.members is None:
-        raise PlanMismatch("variance_grouping needs an explicit plan with group membership")
-    if o.n != rho.n or o.n != plan.n:
-        raise DimensionMismatch("sizes differ")
-    matched = _match_terms(o, plan)
-    by_plan_idx: dict[int, int] = {}
-    for o_idx, plan_idx in enumerate(matched):
-        if plan_idx is None:
-            raise CoverageError(f"term {o.paulis[o_idx]} is not part of the plan")
-        by_plan_idx[plan_idx] = o_idx
-    tr = _pair_trace_cache(rho)
-    probs = [p for _, p in plan.distribution.explicit]
-    total = 0.0
-    for e, member in enumerate(plan.members):
-        inside = [by_plan_idx[t] for t in member if t in by_plan_idx]
-        for li in inside:
-            for lj in inside:
-                prod = multiply(o.paulis[li], o.paulis[lj])
-                total += o.coeffs[li] * o.coeffs[lj] * tr(prod.pauli, prod.phase) / probs[e]
-    mean = exact_expectation(rho, o)
-    return total - mean ** 2
+    sum_j K(P_j)^{-1} sum_{l,l' in S_j} alpha_l alpha_l' Tr(rho O_l O_l') - Tr(O rho)^2,
+    i.e. g = F diag(K) F^T with F[l, j] = 1/K(P_j) for the entry j that owns O_l."""
+    k = _explicit_probs(plan, o, "variance_grouping")
+    entry = _entry_of(o, plan)
+    if np.any(entry < 0):
+        raise CoverageError(f"term {o.paulis[int(np.argmin(entry))]} is not part of the plan")
+    f = np.zeros((len(o), len(k)))
+    f[np.arange(len(o)), entry] = 1.0 / k[entry]
+    return _second_moment(o, rho, (f * k) @ f.T)
 
 
 def variance_product_scheme(
@@ -336,58 +329,30 @@ def variance_product_scheme(
     """
     if dist.kind != "product":
         raise PlanMismatch("variance_product_scheme needs a product distribution")
-    if o.n != rho.n:
-        raise DimensionMismatch("sizes differ")
-    q = dist.product
-    tr = _pair_trace_cache(rho)
-    total = 0.0
-    for ci, pi in o:
-        for cj, pj in o:
-            if not compatible(pi, pj):
-                continue
-            shared = set(pi.support) & set(pj.support)
-            weight = 1.0
-            for i in shared:
-                weight /= q[i, pi.code(i) - 1]
-            prod = multiply(pi, pj)
-            total += ci * cj * weight * tr(prod.pauli, prod.phase)
-    mean = exact_expectation(rho, o)
-    max_supp = max((p.weight for p in o.paulis), default=0)
-    bound = (3.0 ** max_supp) * o.l1_norm ** 2
-    return total - mean ** 2, bound
+    if len(dist.product) != o.n:
+        raise DimensionMismatch(f"observable n={o.n}, distribution n={len(dist.product)}")
+    codes = np.array([p.codes() for p in o.paulis]).reshape(len(o), o.n)
+    inv = 1.0 / np.where(codes > 0, dist.product[np.arange(o.n), codes - 1], 1.0)
+    a, b = codes[:, None], codes[None, :]
+    shared = (a > 0) & (b > 0)
+    g = np.where(shared, inv[:, None], 1.0).prod(axis=2)
+    g[np.any(shared & (a != b), axis=2)] = 0.0
+    bound = 3.0 ** max((p.weight for p in o.paulis), default=0) * o.l1_norm ** 2
+    return _second_moment(o, rho, g), bound
 
 
 def variance_generic(plan: MeasurementPlan, o: WeightedPauliSum, rho: DensityMatrix) -> float:
     """Variance of the generic hit-based scheme over an explicit basis list:
-    Var = sum_{l,l'} alpha_l alpha_l' g(O_l, O_l') Tr(rho O_l O_l') - Tr(O rho)^2
-    with g = [sum_{P hits O_l} K]^{-1} [sum_{P hits O_l'} K]^{-1} sum_{P hits both} K."""
-    if plan.distribution is None or plan.distribution.kind != "explicit":
-        raise PlanMismatch("variance_generic needs an explicit basis list")
-    if o.n != rho.n or o.n != plan.n:
-        raise DimensionMismatch("sizes differ")
-    entries = plan.distribution.explicit
-    hit_prob = []
-    hit_sets = []
-    for term in o.paulis:
-        hs = np.array([hits(b, term) for b, _ in entries])
-        prob = math.fsum(p for (_, p), h in zip(entries, hs) if h)
-        if prob == 0.0:
-            raise CoverageError(f"term {term} is hit by no basis of the plan")
-        hit_prob.append(prob)
-        hit_sets.append(hs)
-    tr = _pair_trace_cache(rho)
-    total = 0.0
-    for li, (ci, pi) in enumerate(o):
-        for lj, (cj, pj) in enumerate(o):
-            both = hit_sets[li] & hit_sets[lj]
-            if not np.any(both):
-                continue
-            joint = math.fsum(p for (_, p), h in zip(entries, both) if h)
-            g = joint / (hit_prob[li] * hit_prob[lj])
-            prod = multiply(pi, pj)
-            total += ci * cj * g * tr(prod.pauli, prod.phase)
-    mean = exact_expectation(rho, o)
-    return total - mean ** 2
+    g = F diag(K) F^T with F[l, j] = hits(P_j, O_l) / sum_{P hits O_l} K."""
+    k = _explicit_probs(plan, o, "variance_generic")
+    terms = np.array([p.codes() for p in o.paulis]).reshape(len(o), 1, o.n)
+    bases = np.array([b.codes() for b, _ in plan.distribution.explicit])
+    hit = np.all((terms == 0) | (terms == bases), axis=2)
+    h = hit @ k
+    if np.any(h == 0.0):
+        raise CoverageError(f"term {o.paulis[int(np.argmin(h))]} is hit by no basis of the plan")
+    f = hit / h[:, None]
+    return _second_moment(o, rho, (f * k) @ f.T)
 
 
 def sample_size_linear(L: int, delta: float, epsilon: float, max_var: float) -> int:

@@ -228,16 +228,11 @@ def _energy_cell(args):
     return (scheme, ns, rep, abs(report.value + offset - exact), report.epsilon0)
 
 
-def run_energy_experiment(spec: ExperimentSpec, power: int | None = None,
-                          jobs: int = 1) -> RunResult:
-    """Absolute error of <H> (power 1) or <H^2> (power 2) per repetition."""
+def run_energy_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
+    """Absolute error of <H>, or of <H^2> for task moment2, per repetition."""
     if spec.hamiltonian is None:
         raise EmptyInput("energy experiment needs a Hamiltonian")
-    if power is None:
-        power = 2 if spec.task == "moment2" else 1
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, not {power}")
-    o_full = square(spec.hamiltonian) if power == 2 else spec.hamiltonian
+    o_full = square(spec.hamiltonian) if spec.task == "moment2" else spec.hamiltonian
     offset, o_work = split_identity(o_full)
     o_work.require_nonempty()
     n = o_full.n

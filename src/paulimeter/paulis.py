@@ -27,15 +27,6 @@ _CODE = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 # (x bit, z bit) per letter code
 _PLANES = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
 
-# sigma_a . sigma_b = i**_MUL_PHASE[a][b] . sigma_(a xor planes b)
-_MUL_PHASE = [[0] * 4 for _ in range(4)]
-_MUL_PHASE[1][2] = 1  # X.Y = iZ
-_MUL_PHASE[2][3] = 1  # Y.Z = iX
-_MUL_PHASE[3][1] = 1  # Z.X = iY
-_MUL_PHASE[2][1] = 3  # Y.X = -iZ
-_MUL_PHASE[3][2] = 3  # Z.Y = -iX
-_MUL_PHASE[1][3] = 3  # X.Z = -iY
-
 _I2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -180,14 +171,16 @@ def _require_same_n(a: PauliString, b: PauliString) -> None:
 def multiply(a: PauliString, b: PauliString) -> PhasedPauli:
     """Product a.b with its accumulated phase.
 
-    Involutive up to phase: multiply(a, a) == (+1, identity).
+    With Y = iXZ every string is i^|x&z| X^x Z^z, and moving Z^(z_a) past
+    X^(x_b) costs (-1)^|z_a&x_b|, so the phase exponent is
+    |x_a&z_a| + |x_b&z_b| + 2|z_a&x_b| - |x&z| (mod 4) for x = x_a^x_b,
+    z = z_a^z_b.  Involutive up to phase: multiply(a, a) == (+1, identity).
     """
     _require_same_n(a, b)
-    exp = 0
-    for i in range(a.n):
-        exp += _MUL_PHASE[_recode((a.x >> i) & 1, (a.z >> i) & 1)][_recode((b.x >> i) & 1, (b.z >> i) & 1)]
-    phase = (1, 1j, -1, -1j)[exp & 3]
-    return PhasedPauli(phase, PauliString(a.n, a.x ^ b.x, a.z ^ b.z))
+    x, z = a.x ^ b.x, a.z ^ b.z
+    exp = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count()
+           + 2 * (a.z & b.x).bit_count() - (x & z).bit_count())
+    return PhasedPauli((1, 1j, -1, -1j)[exp & 3], PauliString(a.n, x, z))
 
 
 def hits(basis: PauliString, obs: PauliString) -> bool:

@@ -3,16 +3,17 @@
 A single shot in full-weight basis W with outcome bits b yields the unbiased
 state estimate rho_hat = prod_i (I + 3 s_i W_i)/2 with s_i = (-1)^{b_i}.
 Purity and partial-transpose moments are U-statistics over distinct
-snapshot tuples; because every snapshot factorizes over qubits, full tuple
-sums reduce to traces of powers of T_m = sum_k M_k^m, which brings the cost
-from N^order down to N:
+snapshot tuples.  Pair sums go through a per-site feature map whose inner
+products are the pair traces.  A partial transpose leaves every pair trace
+unchanged, Tr[M_a^{T_A} M_b^{T_A}] = Tr[M_a M_b], so the second PT moment is
+the full-system purity.  Because every snapshot factorizes over qubits, the
+full third-order tuple sum reduces to traces of powers of T_m = sum_k M_k^m,
+which brings the cost from N^3 down to N:
 
-    sum_{a!=b}      Tr[M_a M_b]     = Tr[T1^2] - Tr[T2]
     sum_{a!=b!=c}   Tr[M_a M_b M_c] = Tr[T1^3] - 3 Tr[T2 T1] + 2 Tr[T3]
 
-M_k is the snapshot restricted to the relevant sites (transposed on the
-partially-transposed block for PT-moments), and M_k^m is itself a tensor
-product of 2x2 factor powers.
+M_k is the snapshot transposed on the masked sites, and M_k^m is itself a
+tensor product of 2x2 factor powers.
 """
 
 from __future__ import annotations
@@ -290,8 +291,9 @@ def pt_moment_ustat(
     """U-statistic for Tr[(rho^{T_A})^order], order 2 or 3.
 
     strategy "full" evaluates the sum over all ordered distinct tuples
-    exactly through power sums of the per-snapshot matrices (transposed on
-    the masked sites); "mc:<budget>" averages over uniformly sampled
+    exactly: order 2 as the full-system purity, which it equals pair by pair,
+    and order 3 through power sums of the per-snapshot matrices (transposed
+    on the masked sites); "mc:<budget>" averages over uniformly sampled
     distinct ordered tuples, deterministic for a fixed seed.  Sampled tuple
     values can carry an imaginary part; it cancels in expectation between a
     tuple and its reversal and is dropped.
@@ -302,41 +304,32 @@ def pt_moment_ustat(
     if a.n != shadows.n:
         raise DimensionMismatch(f"mask n={a.n}, shadows n={shadows.n}")
     kind, budget = _parse_strategy(strategy)
-    tsites = frozenset(a.indices)
     n = shadows.n
+    if kind == "full" and order == 2:
+        return purity_ustat(shadows, SubsystemMask.full(n))
+    if kind == "full" and n > _MAX_DENSE_QUBITS:
+        raise FeasibilityError(
+            f"full tuple sums build 2^n matrices and are limited to n <= {_MAX_DENSE_QUBITS}; use 'mc:<budget>'"
+        )
+    factors = _site_factors(shadows, range(n), frozenset(a.indices))
     if kind == "full":
-        if n > _MAX_DENSE_QUBITS:
-            raise FeasibilityError(
-                f"full tuple sums build 2^n matrices and are limited to n <= {_MAX_DENSE_QUBITS}; use 'mc:<budget>'"
-            )
-        factors = _site_factors(shadows, range(n), tsites)
         dim = 2 ** n
-        powers = [factors]
         sq = np.einsum("kjab,kjbc->kjac", factors, factors)
-        powers.append(sq)
-        if order == 3:
-            powers.append(np.einsum("kjab,kjbc->kjac", sq, factors))
         t = []
         chunk = max(1, (1 << 21) // (dim * dim))
-        for p in powers:
+        for p in (factors, sq, np.einsum("kjab,kjbc->kjac", sq, factors)):
             acc = np.zeros((dim, dim), dtype=complex)
             for lo in range(0, count, chunk):
                 acc += _kron_rows(p[lo : lo + chunk]).sum(axis=0)
             t.append(acc)
-        if order == 2:
-            raw = np.trace(t[0] @ t[0]) - np.trace(t[1])
-            denom = count * (count - 1)
-        else:
-            raw = (
-                np.trace(t[0] @ t[0] @ t[0])
-                - 3.0 * np.trace(t[1] @ t[0])
-                + 2.0 * np.trace(t[2])
-            )
-            denom = count * (count - 1) * (count - 2)
+        raw = (
+            np.trace(t[0] @ t[0] @ t[0])
+            - 3.0 * np.trace(t[1] @ t[0])
+            + 2.0 * np.trace(t[2])
+        )
         if abs(raw.imag) > 1e-8 * max(1.0, abs(raw.real)):
             raise AssertionError("tuple power sum came out complex")
-        return float(raw.real) / denom
-    factors = _site_factors(shadows, range(n), tsites)
+        return float(raw.real) / (count * (count - 1) * (count - 2))
     rng = np.random.default_rng(seed)
     remaining = budget
     partials = []

@@ -156,6 +156,18 @@ def test_variance_generic_reproduces_product():
     )
     exact, _ = variance_product_scheme(plan_uniform_cs(2).distribution, OBS_A, RHO_A)
     assert variance_generic(synthetic, OBS_A, RHO_A) == pytest.approx(exact, abs=1e-10)
+    # a biased product law written out as its 9 bases: non-uniform K
+    q = plan_lbcs(OBS_A).distribution.product
+    biased = MeasurementPlan(
+        scheme="lbcs",
+        n=2,
+        terms=OBS_A.paulis,
+        distribution=BasisDistribution("explicit", explicit=tuple(
+            (P(a + b), q[0, i] * q[1, j]) for i, a in enumerate("XYZ") for j, b in enumerate("XYZ")
+        )),
+    )
+    exact, _ = variance_product_scheme(plan_lbcs(OBS_A).distribution, OBS_A, RHO_A)
+    assert variance_generic(biased, OBS_A, RHO_A) == pytest.approx(exact, abs=1e-10)
 
 
 def test_variance_error_paths():
@@ -261,6 +273,13 @@ def test_alignment_and_kind_errors():
     rand_records = sample_records(rand_plan, rho, 10, seed=1)
     with pytest.raises(PlanMismatch):
         estimate_derandomized(rand_records, rand_plan, OBS_B)
+    # an explicit plan built in code without term membership
+    no_members = MeasurementPlan(
+        scheme="cs", n=2, terms=OBS_B.paulis,
+        distribution=BasisDistribution("explicit", explicit=((P("ZZ"), 1.0),)),
+    )
+    with pytest.raises(PlanMismatch):
+        estimate(ShotBatch([P("ZZ").codes()], [(0, 1)]), no_members, OBS_B)
 
 
 def test_foreign_and_empty_records():

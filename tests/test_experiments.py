@@ -141,7 +141,7 @@ def test_moment2_runner():
         seed=5,
         hamiltonian=builtin_hamiltonian("cluster4"),
     )
-    rows = rows_of(run_energy_experiment(spec, power=2).csv)
+    rows = rows_of(run_energy_experiment(spec).csv)
     assert len(rows) == 2
     for r in rows:
         assert np.isfinite(float(r["abs_error"]))

@@ -239,6 +239,11 @@ def test_pt_second_moment_equals_full_purity_estimator():
         assert pt_moment_ustat(sh, mask, 2) == pytest.approx(
             purity_ustat(sh, full), abs=1e-10
         )
+    # order 2 builds no 2^n matrix, so it also runs beyond the dense bound
+    wide = ShadowSet(11, np.ones((3, 11), dtype=np.int8), np.ones((3, 11), dtype=np.int8))
+    assert pt_moment_ustat(wide, SubsystemMask.of(11, 1), 2) == pytest.approx(
+        purity_ustat(wide, SubsystemMask.full(11)), abs=1e-10
+    )
 
 
 def test_pt_moment_mc_strategy():
