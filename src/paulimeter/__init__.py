@@ -31,6 +31,7 @@ from .states import (
     exact_subsystem_purity,
     ghz,
     noise_from_fidelity,
+    noisy_ghz,
     partial_trace,
     partial_transpose,
     permutation_moment_oracle,

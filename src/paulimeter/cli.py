@@ -22,7 +22,6 @@ from .experiments import (
     run_observables_experiment,
     split_identity,
     _cell_records,
-    _noisy_ghz,
 )
 from .formats import (
     load_hamiltonian,
@@ -39,7 +38,7 @@ from .shadows import (
     purity_certificate,
     purity_ustat,
 )
-from .states import SubsystemMask, noise_from_fidelity
+from .states import SubsystemMask, noise_from_fidelity, noisy_ghz
 
 SCHEME_CHOICES = click.Choice(["l1", "ldf", "cs", "lbcs", "derand"])
 
@@ -83,7 +82,7 @@ def _all_proper_masks(n: int) -> tuple[SubsystemMask, ...]:
 
 
 def _state(qubits: int, fidelity: float):
-    return _noisy_ghz(qubits, noise_from_fidelity(qubits, fidelity))
+    return noisy_ghz(qubits, noise_from_fidelity(qubits, fidelity))
 
 
 def _shadows_from(records_path, qubits, ns, seed, fidelity) -> ShadowSet:

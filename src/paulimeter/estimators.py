@@ -41,15 +41,15 @@ class ShotBatch:
     an int8 (N, n) array, ``bits`` the outcome bits as a uint8 (N, n) array,
     and ``reps`` the int64 (N,) multiplicities: a row with reps=r stands for
     r unit shots that produced the same basis and the same outcome.  The
-    arrays are validated once, here; indexing and iteration give ShotRecord
-    row views.
+    arrays are copied, validated and made read-only once, here; indexing
+    and iteration give ShotRecord row views.
     """
 
     def __init__(self, letters, bits, reps=None) -> None:
-        letters = np.asarray(letters, dtype=np.int8)
-        bits = np.asarray(bits, dtype=np.uint8)
+        letters = np.array(letters, dtype=np.int8)
+        bits = np.array(bits, dtype=np.uint8)
         reps = np.ones(len(letters)) if reps is None else reps
-        reps = np.asarray(reps, dtype=np.int64)
+        reps = np.array(reps, dtype=np.int64)
         if letters.ndim != 2 or bits.shape != letters.shape or reps.shape != letters.shape[:1]:
             raise ValueError(f"letters {letters.shape}, bits {bits.shape} and reps {reps.shape} "
                              "must be (N, n), (N, n) and (N,)")
@@ -63,6 +63,8 @@ class ShotBatch:
             raise ValueError("bits must be 0 or 1")
         if reps.size and reps.min() < 1:
             raise ValueError("reps must be >= 1")
+        for a in (letters, bits, reps):
+            a.setflags(write=False)
         self.n = letters.shape[1]
         self.letters = letters
         self.bits = bits

@@ -27,14 +27,7 @@ from .schemes import (
     plan_uniform_cs,
 )
 from .shadows import collect_shadows, p3_ppt_certificate, purity_ustat
-from .states import (
-    DensityMatrix,
-    SubsystemMask,
-    admix_white_noise,
-    exact_expectation,
-    ghz,
-    sample_outcomes,
-)
+from .states import DensityMatrix, SubsystemMask, exact_expectation, noisy_ghz, sample_outcomes
 
 SCHEME_NAMES = ("l1", "ldf", "cs", "lbcs", "derand")
 _TASK_NR = {"observables": 5, "energy": 5, "moment2": 5,
@@ -143,11 +136,6 @@ def build_plan(scheme: str, o: WeightedPauliSum, n: int, ns: int) -> Measurement
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _noisy_ghz(n: int, noise: float) -> DensityMatrix:
-    rho = ghz(n)
-    return admix_white_noise(rho, noise) if noise > 0.0 else rho
-
-
 def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
                   ss: np.random.SeedSequence) -> ShotBatch:
     """ns settings, nr unit shots each, in planned order."""
@@ -200,7 +188,7 @@ def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult
     if any(p.n != n for p in pool):
         raise DimensionMismatch("observable pool mixes qubit counts")
     pool_sum = WeightedPauliSum(n, tuple((1.0, p) for p in pool))
-    rho = _noisy_ghz(n, spec.noise)
+    rho = noisy_ghz(n, spec.noise)
     exact_vals = np.array([exact_expectation(rho, WeightedPauliSum(n, ((1.0, p),)))
                            for p in pool])
     plans = {(s, ns): build_plan(s, pool_sum, n, ns)
@@ -236,7 +224,7 @@ def run_energy_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
     offset, o_work = split_identity(o_full)
     o_work.require_nonempty()
     n = o_full.n
-    rho = _noisy_ghz(n, spec.noise)
+    rho = noisy_ghz(n, spec.noise)
     exact = exact_expectation(rho, o_full)
     plans = {(s, ns): build_plan(s, o_work, n, ns)
              for s in spec.schemes for ns in spec.ns_grid}
@@ -275,7 +263,7 @@ def run_entanglement_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResul
     n = spec.masks[0].n
     if any(m.n != n for m in spec.masks):
         raise DimensionMismatch("masks mix qubit counts")
-    rho = _noisy_ghz(n, spec.noise)
+    rho = noisy_ghz(n, spec.noise)
     order = {str(m): (len(m.indices), m.indices) for m in spec.masks}
     cells = [(rho, spec.masks, ns, rep, spec.seed, spec.strategy)
              for ns in spec.ns_grid for rep in range(spec.repetitions)]

@@ -1,9 +1,23 @@
 """Exact density-matrix simulator and brute-force oracle.
 
-Everything here is dense 2^n linear algebra, deliberately: these routines
-are the ground truth the estimators are checked against, so they trade
-speed for directness.  Sites are 0-based internally; :class:`SubsystemMask`
-speaks the 1-based labels used everywhere user-facing.
+Every state is stored as a dense, validated 2^n x 2^n matrix
+(``DensityMatrix.mat``), and that matrix stays the ground truth: the
+expectations, reductions and moments here are dense linear algebra on it,
+deliberately direct rather than fast.  States are built only up to
+``DENSE_MAX_QUBITS`` sites; past it every constructor raises
+``FeasibilityError`` before it allocates.
+
+Born sampling is the one hot path.  It reads each state in its spectral
+form rho = floor*I + A A^dag, with A of shape (2^n, r), and rotates only the
+r columns of A into the measured basis, one site at a time: O(n r 2^n)
+per basis instead of the O(n 4^n) of rotating rho itself.  ``ghz`` and
+``admix_white_noise`` carry their form (r = 1); any other state gets it
+from one eigendecomposition of ``mat`` on its first sample.
+``sample_outcomes`` also keeps each basis's inverse-CDF table on the state,
+so repeated settings pay only the draw.
+
+Sites are 0-based internally; :class:`SubsystemMask` speaks the 1-based
+labels used everywhere user-facing.
 """
 
 from __future__ import annotations
@@ -20,6 +34,13 @@ _TRACE_TOL = 1e-10
 _PSD_TOL = -1e-8
 # eigvalsh cost grows as 8^n; skip the PSD eigencheck past this point
 _PSD_CHECK_MAX_N = 10
+# a dense 12-qubit state is a 256 MiB complex matrix
+DENSE_MAX_QUBITS = 12
+# eigenvalues within this of the smallest one fold into the floor; each
+# Born probability then moves by at most this much
+_RANK_TOL = 1e-13
+# per-state budget of memoized inverse-CDF entries (8 MiB of float64)
+_CDF_MEMO_ENTRIES = 2 ** 20
 
 _EIGBASIS = {
     # rows are <b| in the eigenbasis of the letter: prob(b) = <b|U rho U^dag|b>
@@ -29,20 +50,35 @@ _EIGBASIS = {
 }
 
 
+def _dense_dim(n: int) -> int:
+    """2^n, once n is a valid qubit count within the dense bound."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+    if n > DENSE_MAX_QUBITS:
+        raise FeasibilityError(f"a dense {n}-qubit state exceeds the bound of "
+                               f"{DENSE_MAX_QUBITS} qubits (a 2^{2 * n}-entry matrix)")
+    return 2 ** n
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class DensityMatrix:
     """Validated n-qubit density matrix.
 
     Invariants checked at construction: Hermitian to 1e-10, unit trace to
     1e-10, and (for n small enough to eigensolve) smallest eigenvalue
-    >= -1e-8.
+    >= -1e-8.  The state also holds its spectral form once known (see
+    :meth:`spectral_form`) and the inverse-CDF tables of the bases it was
+    sampled in.
     """
 
-    __slots__ = ("n", "mat")
+    __slots__ = ("n", "mat", "_form", "_cdfs")
 
     def __init__(self, n: int, mat: np.ndarray) -> None:
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
-        dim = 2 ** n
+        dim = _dense_dim(n)
         mat = np.array(mat, dtype=complex)
         if mat.shape != (dim, dim):
             raise DimensionMismatch(f"matrix shape {mat.shape} does not fit n={n}")
@@ -56,8 +92,24 @@ class DensityMatrix:
             if lo < _PSD_TOL:
                 raise ValueError(f"matrix is not PSD (min eigenvalue {lo})")
         self.n = n
-        self.mat = mat
-        self.mat.setflags(write=False)
+        self.mat = _frozen(mat)
+        self._form = None
+        self._cdfs = {}
+
+    def spectral_form(self) -> tuple[float, np.ndarray]:
+        """(floor, A) with mat = floor*I + A A^dag and A of shape (2^n, r).
+
+        ``ghz`` and ``admix_white_noise`` set the form of the states they
+        build.  Any other state gets it here, from one eigendecomposition:
+        floor is the smallest eigenvalue, and A keeps the eigenvectors whose
+        eigenvalue exceeds it by more than 1e-13, scaled by the square root
+        of that excess.
+        """
+        if self._form is None:
+            lam, vecs = np.linalg.eigh(self.mat)
+            keep = lam - lam[0] > _RANK_TOL
+            self._form = (float(lam[0]), _frozen(vecs[:, keep] * np.sqrt(lam[keep] - lam[0])))
+        return self._form
 
     def __repr__(self) -> str:
         return f"DensityMatrix(n={self.n})"
@@ -102,18 +154,30 @@ class SubsystemMask:
 
 def ghz(n: int) -> DensityMatrix:
     """Pure projector onto (|0...0> + |1...1>)/sqrt(2)."""
-    dim = 2 ** n
-    vec = np.zeros(dim, dtype=complex)
+    vec = np.zeros(_dense_dim(n), dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
-    return DensityMatrix(n, np.outer(vec, vec.conj()))
+    rho = DensityMatrix(n, np.outer(vec, vec.conj()))
+    rho._form = (0.0, _frozen(vec[:, None]))
+    return rho
 
 
 def admix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """(1-p) rho + p I/2^n."""
+    """(1-p) rho + p I/2^n; a known spectral form (floor, A) of rho
+    carries over as ((1-p) floor + p/2^n, sqrt(1-p) A)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight {p} outside [0, 1]")
-    dim = 2 ** rho.n
-    return DensityMatrix(rho.n, (1.0 - p) * rho.mat + p * np.eye(dim) / dim)
+    dim = _dense_dim(rho.n)
+    out = DensityMatrix(rho.n, (1.0 - p) * rho.mat + p * np.eye(dim) / dim)
+    if rho._form is not None:
+        floor, a = rho._form
+        out._form = ((1.0 - p) * floor + p / dim, _frozen(np.sqrt(1.0 - p) * a))
+    return out
+
+
+def noisy_ghz(n: int, noise: float) -> DensityMatrix:
+    """GHZ state with white-noise weight ``noise``; noise 0 is plain GHZ."""
+    rho = ghz(n)
+    return admix_white_noise(rho, noise) if noise > 0.0 else rho
 
 
 def noise_from_fidelity(n: int, fidelity: float) -> float:
@@ -145,23 +209,22 @@ def born_distribution(rho: DensityMatrix, basis: PauliString) -> np.ndarray:
 
     Outcome index encodes bits with site 0 as the most significant bit, so
     index b has bit_i(b) = (b >> (n-1-i)) & 1.  Bit 0 maps to eigenvalue +1,
-    bit 1 to -1, per site.
+    bit 1 to -1, per site.  With rho = floor*I + A A^dag and U the product
+    of the per-site eigenbasis rotations, prob(b) = floor + sum_k |(U A)_bk|^2;
+    U is applied to A one site at a time.
     """
     if rho.n != basis.n:
         raise DimensionMismatch(f"state n={rho.n}, basis n={basis.n}")
     if not basis.is_full_weight:
         raise InvalidBasis(f"basis {basis} contains identity letters")
     n = rho.n
-    arr = rho.mat.reshape((2,) * (2 * n))
+    floor, amp = rho.spectral_form()
+    r = amp.shape[1]
     for i in range(n):
-        u = _EIGBASIS[basis.code(i)]
-        # rotate ket axis i and bra axis n+i into the letter's eigenbasis
-        arr = np.tensordot(u, arr, axes=([1], [i]))
-        arr = np.moveaxis(arr, 0, i)
-        arr = np.tensordot(arr, u.conj().T, axes=([n + i], [0]))
-        arr = np.moveaxis(arr, -1, n + i)
-    dim = 2 ** n
-    probs = np.real(np.diagonal(arr.reshape(dim, dim)).copy())
+        # site i is the middle axis; matmul broadcasts u over the leading one
+        amp = np.matmul(_EIGBASIS[basis.code(i)], amp.reshape(2 ** i, 2, 2 ** (n - 1 - i) * r))
+    amp = amp.reshape(2 ** n, r)
+    probs = floor + np.sum(amp.real ** 2 + amp.imag ** 2, axis=1)
     probs[probs < 0] = 0.0
     return probs / probs.sum()
 
@@ -169,16 +232,21 @@ def born_distribution(rho: DensityMatrix, basis: PauliString) -> np.ndarray:
 def sample_outcomes(rho: DensityMatrix, basis: PauliString, shots: int, seed) -> np.ndarray:
     """i.i.d. Born-rule draws; returns a (shots, n) uint8 bit array.
 
-    The full 2^n distribution is computed once, then outcomes are drawn by
-    inverse CDF, which keeps repeated sampling cheap and exactly
-    reproducible for a fixed seed.
+    Outcomes are drawn by inverse CDF over the full 2^n distribution, which
+    keeps repeated sampling cheap and exactly reproducible for a fixed
+    seed.  Each basis's CDF table is kept on the state, up to 2^20 entries
+    per state, so a repeated basis costs only the draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = born_distribution(rho, basis)
+    cdf = rho._cdfs.get(basis)
+    if cdf is None:
+        cdf = _frozen(np.cumsum(born_distribution(rho, basis)))
+        if (len(rho._cdfs) + 1) * len(cdf) <= _CDF_MEMO_ENTRIES:
+            rho._cdfs[basis] = cdf
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = np.searchsorted(np.cumsum(probs), rng.random(shots), side="right")
-    draws = np.minimum(draws, len(probs) - 1)
+    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    draws = np.minimum(draws, len(cdf) - 1)
     n = rho.n
     shifts = n - 1 - np.arange(n)
     return ((draws[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
@@ -228,7 +296,7 @@ def exact_subsystem_purity(rho: DensityMatrix, a: SubsystemMask) -> float:
 
 def random_mixed_state(n: int, rng) -> DensityMatrix:
     """Full-rank generic test state: normalized A A^dag, A complex normal."""
-    dim = 2 ** n
+    dim = _dense_dim(n)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     m /= np.trace(m).real

@@ -83,6 +83,21 @@ def test_shot_batch_rows():
     assert batch != ShotBatch(batch.letters, batch.bits)
 
 
+def test_shot_batch_is_a_read_only_copy():
+    letters = np.array([[3, 1], [2, 2]], dtype=np.int8)
+    bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    reps = np.array([1, 2], dtype=np.int64)
+    batch = ShotBatch(letters, bits, reps)
+    # an identity letter written into the caller's array after validation
+    letters[0, 0] = 0
+    bits[0, 0] = 2
+    reps[0] = 0
+    assert batch.letters[0, 0] == 3 and batch.bits[0, 0] == 0 and batch.reps[0] == 1
+    for a in (batch.letters, batch.bits, batch.reps):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 @pytest.mark.parametrize(
     "plan_factory",
     [

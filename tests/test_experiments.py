@@ -471,6 +471,19 @@ def test_cli_bench_observables_pool_follows_qubits(tmp_path):
     assert result.stderr.splitlines() == ["error: pool of 50 exceeds the 36 available strings"]
 
 
+def test_cli_dense_bound_exits_2_before_allocating(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the dense bound")
+
+    for name in ("eye", "outer", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    result = run_cli(["shadows", "--qubits", "16", "--ns", "5", "--out", str(tmp_path / "s.rec")])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: a dense 16-qubit state exceeds the bound of 12 qubits (a 2^32-entry matrix)"]
+    assert not (tmp_path / "s.rec").exists()
+
+
 def test_observables_notes_report_count_and_weight_separately():
     pool = default_observable_pool()[:6]
     spec = ExperimentSpec(task="observables", schemes=("derand",), ns_grid=(1,), nr=1,

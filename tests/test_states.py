@@ -1,6 +1,7 @@
 """Exact-simulator oracle checks: Born sampling, reductions, moments."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from paulimeter.errors import DimensionMismatch, FeasibilityError
 from paulimeter.paulis import PauliString, WeightedPauliSum
 from paulimeter.states import (
+    DENSE_MAX_QUBITS,
     DensityMatrix,
     SubsystemMask,
     admix_white_noise,
@@ -17,6 +19,7 @@ from paulimeter.states import (
     exact_subsystem_purity,
     ghz,
     noise_from_fidelity,
+    noisy_ghz,
     partial_trace,
     partial_transpose,
     permutation_moment_oracle,
@@ -43,6 +46,27 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(DimensionMismatch):
         DensityMatrix(2, np.eye(2) / 2)
+
+
+def test_dense_bound_raises_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the dense bound")
+
+    for name in ("array", "asarray", "empty", "eye", "outer", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    n = DENSE_MAX_QUBITS + 1
+    too_big = {
+        "ghz": lambda: ghz(n),
+        "noisy_ghz": lambda: noisy_ghz(16, 0.1),
+        "DensityMatrix": lambda: DensityMatrix(n, None),
+        "random_mixed_state": lambda: random_mixed_state(n, SimpleNamespace(normal=refuse)),
+        "admix_white_noise": lambda: admix_white_noise(SimpleNamespace(n=n, mat=None), 0.5),
+    }
+    for name, build in too_big.items():
+        with pytest.raises(FeasibilityError, match=f"bound of {DENSE_MAX_QUBITS} qubits"):
+            build()
+    with pytest.raises(ValueError, match="outside 1..16"):
+        ghz(17)
 
 
 def test_subsystem_mask_parsing_and_indices():
@@ -79,21 +103,115 @@ def test_born_ghz_x_basis_even_parity():
         assert probs[idx] == pytest.approx(0.0 if parity else 1.0 / 8.0, abs=1e-12)
 
 
-def test_born_matches_dense_diagonal():
-    rng = np.random.default_rng(7)
-    rho = random_mixed_state(3, rng)
-    basis = P("XZY")
-    probs = born_distribution(rho, basis)
-    # explicit eigenbasis rotation: X -> H, Y -> S-dagger then H, Z -> 1
+def rotated_diagonal(rho, text):
+    """diag(U rho U^dag) with U the explicit kron of the per-site rotations:
+    X -> H, Y -> S-dagger then H, Z -> 1."""
     H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     SDG = np.diag([1.0, -1.0j])
     rots = {"X": H, "Y": H @ SDG, "Z": np.eye(2)}
     U = np.eye(1, dtype=complex)
-    for c in "XZY":
+    for c in text:
         U = np.kron(U, rots[c])
-    diag = np.real(np.diag(U @ rho.mat @ U.conj().T))
-    np.testing.assert_allclose(probs, diag, atol=1e-12)
+    return np.real(np.diag(U @ rho.mat @ U.conj().T))
+
+
+def test_born_matches_dense_diagonal():
+    rng = np.random.default_rng(7)
+    rho = random_mixed_state(3, rng)
+    probs = born_distribution(rho, P("XZY"))
+    np.testing.assert_allclose(probs, rotated_diagonal(rho, "XZY"), atol=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _sampler_cases(n, rng):
+    """Every way a state reaches the sampler: known forms (GHZ, noisy GHZ)
+    and states whose form comes from an eigendecomposition."""
+    dim = 2 ** n
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    phi /= np.linalg.norm(phi)
+    rank2 = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.outer(phi, phi.conj())
+    return {
+        "ghz": ghz(n),
+        **{f"ghz p={p}": admix_white_noise(ghz(n), p) for p in (0.05, 0.5, 1.0)},
+        "random mixed": random_mixed_state(n, rng),
+        "pure": DensityMatrix(n, np.outer(psi, psi.conj())),
+        "rank 2": DensityMatrix(n, rank2),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_born_random_bases_match_explicit_rotation(n):
+    rng = np.random.default_rng(100 + n)
+    for name, rho in _sampler_cases(n, rng).items():
+        for _ in range(4):
+            text = "".join(rng.choice(list("XYZ"), size=n))
+            probs = born_distribution(rho, P(text))
+            np.testing.assert_allclose(probs, rotated_diagonal(rho, text), atol=1e-12,
+                                       err_msg=f"{name} in {text}")
+
+
+def test_known_spectral_forms_reproduce_matrix(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a GHZ-family state reached eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n in (1, 3, 6):
+        dim = 2 ** n
+        for rho in (ghz(n), noisy_ghz(n, 0.0), *(admix_white_noise(ghz(n), p)
+                                                 for p in (0.05, 0.5, 1.0))):
+            floor, a = rho.spectral_form()
+            assert a.shape == (dim, 1)
+            np.testing.assert_allclose(floor * np.eye(dim) + a @ a.conj().T, rho.mat, atol=1e-14)
+            sample_outcomes(rho, PauliString.from_codes([2] * n), 3, 0)
+
+
+def test_eigh_spectral_form_reproduces_matrix():
+    rng = np.random.default_rng(4)
+    for rho in _sampler_cases(4, rng).values():
+        floor, a = DensityMatrix(4, rho.mat).spectral_form()
+        np.testing.assert_allclose(floor * np.eye(16) + a @ a.conj().T, rho.mat, atol=1e-12)
+    # a rank-1 state keeps one column; the maximally mixed state keeps none
+    assert DensityMatrix(3, ghz(3).mat).spectral_form()[1].shape == (8, 1)
+    floor, a = DensityMatrix(3, np.eye(8) / 8).spectral_form()
+    assert a.shape == (8, 0) and floor == pytest.approx(1 / 8)
+    np.testing.assert_allclose(born_distribution(DensityMatrix(3, np.eye(8) / 8), P("XYZ")),
+                               np.full(8, 1 / 8), atol=1e-15)
+
+
+def test_noisy_ghz_is_ghz_with_white_noise():
+    np.testing.assert_array_equal(noisy_ghz(3, 0.2).mat, admix_white_noise(ghz(3), 0.2).mat)
+    np.testing.assert_array_equal(noisy_ghz(3, 0.0).mat, ghz(3).mat)
+
+
+def test_memoized_sampling_matches_fresh_state():
+    mixed = random_mixed_state(4, np.random.default_rng(8)).mat
+    basis = P("XYZX")
+    for make in (lambda: noisy_ghz(4, 0.3), lambda: DensityMatrix(4, mixed)):
+        rho = make()
+        first = sample_outcomes(rho, basis, 500, 5)
+        again = sample_outcomes(rho, basis, 500, 5)
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(again, sample_outcomes(make(), basis, 500, 5))
+
+
+def test_sampling_memo_is_capped_per_state():
+    rho = ghz(8)
+    for codes in itertools.islice(itertools.product((1, 2, 3), repeat=8), 4200):
+        sample_outcomes(rho, PauliString.from_codes(codes), 1, 0)
+    assert len(rho._cdfs) == 2 ** 20 // 2 ** 8
+    assert len(ghz(8)._cdfs) == 0
+
+
+def test_born_distribution_is_fresh_and_writable():
+    rho = noisy_ghz(3, 0.1)
+    basis = P("XXZ")
+    sample_outcomes(rho, basis, 10, 0)
+    probs = born_distribution(rho, basis)
+    assert probs.flags.writeable
+    probs[:] = 0.0
+    assert born_distribution(rho, basis).sum() == pytest.approx(1.0)
 
 
 def test_sampling_is_seeded_and_close_to_born():
