@@ -1,19 +1,21 @@
 """Classical-shadow snapshots and the nonlinear-function estimators.
 
 A single shot in full-weight basis W with outcome bits b yields the unbiased
-state estimate rho_hat = prod_i (I + 3 s_i W_i)/2 with s_i = (-1)^{b_i}.
-Purity and partial-transpose moments are U-statistics over distinct
-snapshot tuples.  Pair sums go through a per-site feature map whose inner
-products are the pair traces.  A partial transpose leaves every pair trace
-unchanged, Tr[M_a^{T_A} M_b^{T_A}] = Tr[M_a M_b], so the second PT moment is
-the full-system purity.  Because every snapshot factorizes over qubits, the
-full third-order tuple sum reduces to traces of powers of T_m = sum_k M_k^m,
-which brings the cost from N^3 down to N:
+state estimate rho_hat = prod_i f_i, f_i = (I + 3 s_i W_i)/2 with
+s_i = (-1)^{b_i}.  Purity and partial-transpose moments are U-statistics
+over distinct snapshot tuples, built from per-site closed forms:
+Tr(f_a f_b) = 1/2 + 9/2 s_a s_b [W_a = W_b] (5, -4 or 1/2),
+Tr(f_a^2 f_b) = 5/2 + 9/2 s_a s_b [W_a = W_b] (7, -2 or 5/2), and
+Tr(f^3) = 7 since f has eigenvalues 2 and -1, so Tr(M_k^3) = 7^n exactly.
 
-    sum_{a!=b!=c}   Tr[M_a M_b M_c] = Tr[T1^3] - 3 Tr[T2 T1] + 2 Tr[T3]
+A partial transpose keeps the trace and Tr(X^{T_A} Y^{T_A}) = Tr(XY).  So
+the second PT moment is the full-system purity, and in the third-order sum
 
-M_k is the snapshot transposed on the masked sites, and M_k^m is itself a
-tensor product of 2x2 factor powers.
+    sum_{a!=b!=c} Tr[M_a M_b M_c] = Tr[T1^3] - 3 Tr[T2 T1] + 2 Tr[T3]
+
+over T_m = sum_k (M_k^{T_A})^m only Tr[T1^3] depends on the mask A: T1 is
+the partial transpose of the dense snapshot sum, Tr[T2 T1] is the pair sum
+at alpha = 5/2 below, and Tr[T3] = N 7^n.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .estimators import ShotBatch
 from .paulis import PauliString
-from .states import DensityMatrix, SubsystemMask, sample_outcomes
+from .states import DensityMatrix, SubsystemMask, _transpose_sites, sample_outcomes
 
 _PAULI_2X2 = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -44,14 +46,6 @@ _FACTOR = np.empty((3, 2, 2, 2), dtype=complex)
 for _c in range(3):
     for _k, _s in enumerate((1.0, -1.0)):
         _FACTOR[_c, _k] = (np.eye(2) + 3.0 * _s * _PAULI_2X2[_c]) / 2.0
-
-# purity feature map: <phi(k), phi(k')> equals the closed-form pair trace
-# 5 / -4 / 0.5, so pair sums become squared norms of summed features
-_PHI = np.zeros((3, 2, 4))
-for _c in range(3):
-    for _k, _s in enumerate((1.0, -1.0)):
-        _PHI[_c, _k, 0] = 1.0 / math.sqrt(2.0)
-        _PHI[_c, _k, 1 + _c] = 3.0 * _s / math.sqrt(2.0)
 
 _MAX_DENSE_QUBITS = 10
 _MC_CHUNK = 1 << 16
@@ -184,24 +178,20 @@ def _require(shadows: ShadowSet, least: int, what: str) -> int:
     return count
 
 
-def _site_factors(shadows: ShadowSet, sites, transpose_sites=frozenset()) -> np.ndarray:
-    """(N, len(sites), 2, 2) factor array, transposed on the given sites."""
-    cols = []
-    for i in sites:
-        f = _FACTOR[shadows.letters[:, i] - 1, shadows.bits[:, i]]
-        if i in transpose_sites:
-            f = f.transpose(0, 2, 1)
-        cols.append(f)
-    return np.stack(cols, axis=1)
-
-
-def _kron_rows(mats: np.ndarray) -> np.ndarray:
-    """Row-wise tensor product: (C, m, 2, 2) -> (C, 2^m, 2^m)."""
-    out = mats[:, 0]
-    for j in range(1, mats.shape[1]):
-        c, d, _ = out.shape
-        out = np.einsum("kab,kcd->kacbd", out, mats[:, j]).reshape(c, 2 * d, 2 * d)
-    return out
+def _snapshot_sum(shadows: ShadowSet) -> np.ndarray:
+    """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
+    dim = 2 ** shadows.n
+    total = np.zeros((dim, dim), dtype=complex)
+    factors = _FACTOR[shadows.letters - 1, shadows.bits]
+    chunk = max(1, (1 << 21) // (dim * dim))
+    for lo in range(0, len(shadows), chunk):
+        rows = factors[lo : lo + chunk]
+        out = rows[:, 0]
+        for j in range(1, shadows.n):
+            c, d, _ = out.shape
+            out = np.einsum("kab,kcd->kacbd", out, rows[:, j]).reshape(c, 2 * d, 2 * d)
+        total += out.sum(axis=0)
+    return total
 
 
 def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
@@ -210,31 +200,58 @@ def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
     count = _require(shadows, 1, "reconstruction")
     if shadows.n > _MAX_DENSE_QUBITS:
         raise FeasibilityError(f"dense reconstruction limited to {_MAX_DENSE_QUBITS} qubits")
-    dim = 2 ** shadows.n
-    total = np.zeros((dim, dim), dtype=complex)
-    factors = _site_factors(shadows, range(shadows.n))
-    chunk = max(1, (1 << 21) // (dim * dim))
-    for lo in range(0, count, chunk):
-        total += _kron_rows(factors[lo : lo + chunk]).sum(axis=0)
-    return total / count
+    return _snapshot_sum(shadows) / count
 
 
-def _phi_rows(shadows: ShadowSet, sites) -> np.ndarray:
-    """(N, m, 4) purity feature vectors."""
-    cols = [
-        _PHI[shadows.letters[:, i] - 1, shadows.bits[:, i]]
-        for i in sites
-    ]
-    return np.stack(cols, axis=1)
+def _pair_sum(shadows: ShadowSet, sites, alpha: float) -> float:
+    """Sum over all ordered snapshot pairs (a, b), a = b included, of
+    prod_{i in sites} (alpha + 9/2 s_a s_b [W_a = W_b]).
+
+    The feature map costs N 4^m and the pair table N^2 m for m sites; the
+    cheaper one runs.  Feature vectors (sqrt(alpha), 3 s e_W / sqrt(2))
+    have the per-site value as their inner product, so the sum is the
+    squared norm of their summed tensor products.  The table is built and
+    summed in row blocks of at most 2^20 entries.
+    """
+    count, m = len(shadows), len(sites)
+    sites = list(sites)
+    # per-site code 2 (letter code - 1) + bit, and its letter and sign
+    code = 2 * (shadows.letters[:, sites] - 1) + shadows.bits[:, sites]
+    letter, sign = np.arange(6) // 2, 1.0 - 2.0 * (np.arange(6) % 2)
+    if 4 ** m <= count * m:
+        phi = np.zeros((6, 4))
+        # sqrt(2 alpha)/sqrt(2) is exactly 1/sqrt(2) at alpha = 1/2
+        phi[:, 0] = math.sqrt(2.0 * alpha) / math.sqrt(2.0)
+        phi[np.arange(6), 1 + letter] = 3.0 * sign / math.sqrt(2.0)
+        dim = 4 ** m
+        acc = np.zeros(dim)
+        chunk = max(1, (1 << 22) // dim)
+        for lo in range(0, count, chunk):
+            rows = phi[code[lo : lo + chunk]]
+            out = rows[:, 0]
+            for j in range(1, m):
+                c, d = out.shape
+                out = np.einsum("kd,ke->kde", out, rows[:, j]).reshape(c, 4 * d)
+            acc += out.sum(axis=0)
+        return float(acc @ acc)
+    table = alpha + 4.5 * np.outer(sign, sign) * (letter[:, None] == letter)
+    block = max(1, (1 << 20) // count)
+    total = 0.0
+    for lo in range(0, count, block):
+        pair = table[code[lo : lo + block, 0, None], code[:, 0]]
+        for j in range(1, m):
+            pair *= table[code[lo : lo + block, j, None], code[:, j]]
+        total += float(pair.sum())
+    return total
 
 
 def purity_ustat(shadows: ShadowSet, a: SubsystemMask) -> float:
     """U-statistic for Tr(rho_A^2) over ordered distinct snapshot pairs.
 
     The per-qubit pair trace is 5 (same basis, same outcome), -4 (same
-    basis, opposite outcome) or 1/2 (different bases); these closed forms
-    enter through a feature map whose inner products reproduce them, so the
-    pair sum is a squared norm and the cost is linear in the snapshot count.
+    basis, opposite outcome) or 1/2 (different bases), so the estimate is
+    (S_A(1/2) - N 5^m) / (N (N - 1)): the pair sum over all ordered pairs
+    minus its N diagonal terms.
     """
     count = _require(shadows, 2, "purity estimation")
     if a.n != shadows.n:
@@ -242,28 +259,7 @@ def purity_ustat(shadows: ShadowSet, a: SubsystemMask) -> float:
     sites = a.indices
     if not sites:
         raise ValueError("subsystem mask is empty")
-    m = len(sites)
-    if 4 ** m <= 1 << 22:
-        dim = 4 ** m
-        t1 = np.zeros(dim)
-        chunk = max(1, (1 << 22) // dim)
-        phi = _phi_rows(shadows, sites)
-        for lo in range(0, count, chunk):
-            rows = phi[lo : lo + chunk]
-            out = rows[:, 0]
-            for j in range(1, m):
-                c, d = out.shape
-                out = np.einsum("kd,ke->kde", out, rows[:, j]).reshape(c, 4 * d)
-            t1 += out.sum(axis=0)
-        pair_sum = float(t1 @ t1) - count * 5.0 ** m
-    else:
-        # mask too wide for the feature accumulator: pairwise table instead
-        pair = np.ones((count, count))
-        for i in sites:
-            same_w = shadows.letters[:, i : i + 1] == shadows.letters[:, i]
-            same_s = shadows.bits[:, i : i + 1] == shadows.bits[:, i]
-            pair *= np.where(same_w, np.where(same_s, 5.0, -4.0), 0.5)
-        pair_sum = float(pair.sum()) - count * 5.0 ** m
+    pair_sum = _pair_sum(shadows, sites, 0.5) - count * 5.0 ** len(sites)
     return pair_sum / (count * (count - 1))
 
 
@@ -292,11 +288,12 @@ def pt_moment_ustat(
 
     strategy "full" evaluates the sum over all ordered distinct tuples
     exactly: order 2 as the full-system purity, which it equals pair by pair,
-    and order 3 through power sums of the per-snapshot matrices (transposed
-    on the masked sites); "mc:<budget>" averages over uniformly sampled
-    distinct ordered tuples, deterministic for a fixed seed.  Sampled tuple
-    values can carry an imaginary part; it cancels in expectation between a
-    tuple and its reversal and is dropped.
+    and order 3 as [Tr((T1^{T_A})^3) - 3 S_all(5/2) + 2 N 7^n] / (N(N-1)(N-2))
+    with T1 the dense snapshot sum (see the module docstring);
+    "mc:<budget>" averages over uniformly sampled distinct ordered tuples,
+    deterministic for a fixed seed.  Sampled tuple values can carry an
+    imaginary part; it cancels in expectation between a tuple and its
+    reversal and is dropped.
     """
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
@@ -307,29 +304,22 @@ def pt_moment_ustat(
     n = shadows.n
     if kind == "full" and order == 2:
         return purity_ustat(shadows, SubsystemMask.full(n))
-    if kind == "full" and n > _MAX_DENSE_QUBITS:
-        raise FeasibilityError(
-            f"full tuple sums build 2^n matrices and are limited to n <= {_MAX_DENSE_QUBITS}; use 'mc:<budget>'"
-        )
-    factors = _site_factors(shadows, range(n), frozenset(a.indices))
     if kind == "full":
-        dim = 2 ** n
-        sq = np.einsum("kjab,kjbc->kjac", factors, factors)
-        t = []
-        chunk = max(1, (1 << 21) // (dim * dim))
-        for p in (factors, sq, np.einsum("kjab,kjbc->kjac", sq, factors)):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for lo in range(0, count, chunk):
-                acc += _kron_rows(p[lo : lo + chunk]).sum(axis=0)
-            t.append(acc)
+        if n > _MAX_DENSE_QUBITS:
+            raise FeasibilityError(
+                f"full tuple sums build 2^n matrices and are limited to n <= {_MAX_DENSE_QUBITS}; use 'mc:<budget>'"
+            )
+        t1 = _transpose_sites(_snapshot_sum(shadows), a)
         raw = (
-            np.trace(t[0] @ t[0] @ t[0])
-            - 3.0 * np.trace(t[1] @ t[0])
-            + 2.0 * np.trace(t[2])
+            np.trace(t1 @ t1 @ t1)
+            - 3.0 * _pair_sum(shadows, range(n), 2.5)
+            + 2.0 * count * 7.0 ** n
         )
         if abs(raw.imag) > 1e-8 * max(1.0, abs(raw.real)):
             raise AssertionError("tuple power sum came out complex")
         return float(raw.real) / (count * (count - 1) * (count - 2))
+    factors = _FACTOR[shadows.letters - 1, shadows.bits]
+    masked = list(a.indices)
     rng = np.random.default_rng(seed)
     remaining = budget
     partials = []
@@ -350,6 +340,9 @@ def pt_moment_ustat(
         if order == 3:
             prod = np.einsum("kjab,kjbc->kjac", prod, factors[draw[:, 2]])
         traces = prod[:, :, 0, 0] + prod[:, :, 1, 1]
+        # a transposed site reverses its product of Hermitian factors, which
+        # conjugates its trace
+        traces[:, masked] = traces[:, masked].conj()
         partials.append(float(traces.prod(axis=1).real.sum()))
         remaining -= len(draw)
     return math.fsum(partials) / budget

@@ -270,12 +270,15 @@ def partial_transpose(rho: DensityMatrix, a: SubsystemMask) -> np.ndarray:
     """Transpose the indices of subsystem A only; returns a dense matrix."""
     if a.n != rho.n:
         raise DimensionMismatch("mask and state sizes differ")
-    n = rho.n
-    arr = rho.mat.reshape((2,) * (2 * n))
+    return _transpose_sites(rho.mat, a)
+
+
+def _transpose_sites(mat: np.ndarray, a: SubsystemMask) -> np.ndarray:
+    """Partial transpose of a 2^n x 2^n matrix on the sites of A."""
+    arr = mat.reshape((2,) * (2 * a.n))
     for i in a.indices:
-        arr = np.swapaxes(arr, i, n + i)
-    dim = 2 ** n
-    return arr.reshape(dim, dim)
+        arr = np.swapaxes(arr, i, a.n + i)
+    return arr.reshape(mat.shape)
 
 
 def exact_pt_moment(rho: DensityMatrix, a: SubsystemMask, order: int) -> float:

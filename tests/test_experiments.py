@@ -24,9 +24,11 @@ from paulimeter.formats import (
     parse_records,
     read_plan,
     write_hamiltonian,
+    write_records,
 )
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
 from paulimeter.schemes import plan_derandomized
+from paulimeter.shadows import ShadowSet
 from paulimeter.states import SubsystemMask
 
 P = PauliString.from_text
@@ -482,6 +484,22 @@ def test_cli_dense_bound_exits_2_before_allocating(tmp_path, monkeypatch):
     assert result.stderr.splitlines() == [
         "error: a dense 16-qubit state exceeds the bound of 12 qubits (a 2^32-entry matrix)"]
     assert not (tmp_path / "s.rec").exists()
+
+
+def test_cli_full_pt_moments_refuse_eleven_qubits(tmp_path, monkeypatch):
+    path = tmp_path / "wide.rec"
+    write_records(str(path), ShadowSet(11, np.ones((3, 11)), np.ones((3, 11))).records())
+    for args in (["ptmoments", "--records", str(path), "--mask", "1", "--order", "3"],
+                 ["certify", "--records", str(path)]):
+        with monkeypatch.context() as patch:
+            if args[0] == "ptmoments":
+                # the bound is checked before the dense snapshot sum allocates
+                patch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+            result = run_cli(args)
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ") and "n <= 10" in line
+        assert "Traceback" not in result.output + result.stderr
 
 
 def test_observables_notes_report_count_and_weight_separately():

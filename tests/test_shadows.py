@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,35 +201,73 @@ def test_purity_pair_values():
     ) == pytest.approx(5.0)
 
 
+# At n=3, 6 snapshots put masks of 2 or more sites on the pair table of the
+# pair-sum kernel, and 24 put every mask on its feature map.
+BOTH_PAIR_SUM_PATHS = (6, 24)
+
+
 def test_purity_ustat_matches_matrix_brute_force():
     rho = random_mixed_state(3, np.random.default_rng(13))
-    sh = collect_shadows(rho, 6, 3)
-    mats = [sh[k].to_matrix() for k in range(6)]
-    for members in ({1}, {1, 3}, {1, 2, 3}):
-        mask = SubsystemMask(3, frozenset(members))
-        keep = mask.indices
-        red = [reduce_sites(m, 3, keep) for m in mats]
-        total = 0.0
-        for a, b in itertools.permutations(range(6), 2):
-            total += np.trace(red[a] @ red[b]).real
-        want = total / (6 * 5)
-        assert purity_ustat(sh, mask) == pytest.approx(want, abs=1e-10)
+    for count in BOTH_PAIR_SUM_PATHS:
+        sh = collect_shadows(rho, count, 3)
+        mats = [sh[k].to_matrix() for k in range(count)]
+        for members in ({1}, {1, 3}, {1, 2, 3}):
+            mask = SubsystemMask(3, frozenset(members))
+            keep = mask.indices
+            red = [reduce_sites(m, 3, keep) for m in mats]
+            total = 0.0
+            for a, b in itertools.permutations(range(count), 2):
+                total += np.trace(red[a] @ red[b]).real
+            want = total / (count * (count - 1))
+            assert purity_ustat(sh, mask) == pytest.approx(want, abs=1e-10)
 
 
 def test_pt_moment_matches_matrix_brute_force():
-    rho = random_mixed_state(2, np.random.default_rng(19))
-    sh = collect_shadows(rho, 5, 21)
-    mask = SubsystemMask.of(2, 1)
-    mats = [pt_sites(sh[k].to_matrix(), 2, mask.indices) for k in range(5)]
-    total2 = sum(
-        np.trace(mats[a] @ mats[b]).real for a, b in itertools.permutations(range(5), 2)
-    )
-    assert pt_moment_ustat(sh, mask, 2) == pytest.approx(total2 / 20, abs=1e-10)
-    total3 = sum(
-        np.trace(mats[a] @ mats[b] @ mats[c]).real
-        for a, b, c in itertools.permutations(range(5), 3)
-    )
-    assert pt_moment_ustat(sh, mask, 3) == pytest.approx(total3 / 60, abs=1e-10)
+    rho = random_mixed_state(3, np.random.default_rng(19))
+    for count in BOTH_PAIR_SUM_PATHS:
+        sh = collect_shadows(rho, count, 21)
+        idx = np.arange(count)
+        distinct = (idx[:, None, None] != idx[None, :, None]) & (idx[:, None] != idx) & (
+            idx[:, None, None] != idx
+        )
+        for mask in (SubsystemMask(3, frozenset(m)) for k in (1, 2, 3)
+                     for m in itertools.combinations((1, 2, 3), k)):
+            mats = np.array([pt_sites(sh[j].to_matrix(), 3, mask.indices) for j in idx])
+            pairs = np.einsum("aij,bji->ab", mats, mats).real
+            total2 = pairs.sum() - np.trace(pairs)
+            assert pt_moment_ustat(sh, mask, 2) == pytest.approx(
+                total2 / (count * (count - 1)), abs=1e-10
+            )
+            triples = np.einsum("aij,bjk,cki->abc", mats, mats, mats).real
+            total3 = triples[distinct].sum()
+            p3 = pt_moment_ustat(sh, mask, 3)
+            assert p3 == pytest.approx(total3 / (count * (count - 1) * (count - 2)), abs=1e-10)
+            # rho^(T_complement) is the full transpose of rho^(T_A)
+            rest = mask.complement()
+            assert p3 == pytest.approx(pt_moment_ustat(sh, rest, 3), rel=1e-12, abs=1e-12)
+            assert pt_moment_ustat(sh, mask, 3, strategy="mc:500", seed=4) == (
+                pt_moment_ustat(sh, rest, 3, strategy="mc:500", seed=4)
+            )
+
+
+def test_wide_mask_purity_builds_no_pair_table():
+    # one 2500 x 2500 float64 table is 47.7 MiB; the pair sum builds it in
+    # row blocks instead, several of them at this size
+    count, n = 2500, 12
+    rng = np.random.default_rng(5)
+    sh = ShadowSet(n, rng.integers(1, 4, (count, n)), 1 - 2 * rng.integers(0, 2, (count, n)))
+    tracemalloc.start()
+    try:
+        value = purity_ustat(sh, SubsystemMask.full(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * count * 8
+    # the pair trace summed one row at a time
+    w, s = sh.letters, sh.signs.astype(float)
+    total = sum(np.prod(np.where(w == w[k], 0.5 + 4.5 * s * s[k], 0.5), axis=1).sum()
+                for k in range(count))
+    assert value == pytest.approx((total - count * 5.0 ** n) / (count * (count - 1)), abs=1e-8)
 
 
 def test_pt_second_moment_equals_full_purity_estimator():
