@@ -30,6 +30,7 @@ from .formats import (
     write_plan,
     write_records,
 )
+from .schemes import SCHEME_NAMES
 from .shadows import (
     ShadowSet,
     collect_shadows,
@@ -40,7 +41,7 @@ from .shadows import (
 )
 from .states import SubsystemMask, noise_from_fidelity, noisy_ghz
 
-SCHEME_CHOICES = click.Choice(["l1", "ldf", "cs", "lbcs", "derand"])
+SCHEME_CHOICES = click.Choice(SCHEME_NAMES)
 
 
 def guarded(f):
@@ -311,8 +312,7 @@ def certify_cmd(records_path, ns, seed, fidelity, qubits, mask_texts, strategy, 
 def bench_cmd(task, scheme_texts, hamiltonian, ns_text, nr, reps, seed, fidelity,
               qubits, mask_texts, strategy, jobs, out):
     """Run a benchmark sweep and emit its CSV."""
-    schemes = tuple(s for t in scheme_texts for s in t.split(",") if s) or \
-        ("l1", "ldf", "cs", "lbcs", "derand")
+    schemes = tuple(s for t in scheme_texts for s in t.split(",") if s) or SCHEME_NAMES
     ns_grid = _grid(ns_text)
     h = load_hamiltonian(hamiltonian) if hamiltonian is not None else None
     n = h.n if h is not None else qubits

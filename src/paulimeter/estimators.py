@@ -172,21 +172,21 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
         foreign = np.flatnonzero(entry_keys[ids] != keys)
         if foreign.size:
             raise ForeignRecord(f"basis {batch[int(foreign[0])].basis} is not an entry of the plan")
-    for l, term in enumerate(o.paulis):
-        supp = list(term.support)
+    for l, codes in enumerate(o.letters):
+        supp = np.flatnonzero(codes)
         if kind == "explicit":
             e = entry_of[l]
             rows = ids == e
             f = 1.0 / dist.explicit[e][1] if e >= 0 else 0.0
         else:
-            rows = np.all(letters[:, supp] == term.codes()[supp], axis=1)
+            rows = np.all(letters[:, supp] == codes[supp], axis=1)
             if kind == "fixed":
                 hit = int(reps[rows].sum())
                 f = batch.shots / hit if hit else 0.0
             else:
                 f = 1.0
                 for i in supp:
-                    f /= dist.product[i, term.code(i) - 1]
+                    f /= dist.product[i, codes[i] - 1]
         parity = batch.bits[rows][:, supp].sum(axis=1) & 1
         yield rows, 1.0 - 2.0 * parity, f
 
@@ -333,7 +333,7 @@ def variance_product_scheme(
         raise PlanMismatch("variance_product_scheme needs a product distribution")
     if len(dist.product) != o.n:
         raise DimensionMismatch(f"observable n={o.n}, distribution n={len(dist.product)}")
-    codes = np.array([p.codes() for p in o.paulis]).reshape(len(o), o.n)
+    codes = o.letters
     inv = 1.0 / np.where(codes > 0, dist.product[np.arange(o.n), codes - 1], 1.0)
     a, b = codes[:, None], codes[None, :]
     shared = (a > 0) & (b > 0)
@@ -347,7 +347,7 @@ def variance_generic(plan: MeasurementPlan, o: WeightedPauliSum, rho: DensityMat
     """Variance of the generic hit-based scheme over an explicit basis list:
     g = F diag(K) F^T with F[l, j] = hits(P_j, O_l) / sum_{P hits O_l} K."""
     k = _explicit_probs(plan, o, "variance_generic")
-    terms = np.array([p.codes() for p in o.paulis]).reshape(len(o), 1, o.n)
+    terms = o.letters[:, None]
     bases = np.array([b.codes() for b, _ in plan.distribution.explicit])
     hit = np.all((terms == 0) | (terms == bases), axis=2)
     h = hit @ k

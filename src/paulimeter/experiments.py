@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, EmptyInput
 from .estimators import ShotBatch, estimate, estimate_derandomized, per_term_expectations
 from .paulis import PauliString, WeightedPauliSum, square
 from .schemes import (
+    SCHEME_NAMES,
     MeasurementPlan,
     draw_bases,
     plan_derandomized,
@@ -29,7 +30,6 @@ from .schemes import (
 from .shadows import collect_shadows, p3_ppt_certificate, purity_ustat
 from .states import DensityMatrix, SubsystemMask, exact_expectation, noisy_ghz, sample_outcomes
 
-SCHEME_NAMES = ("l1", "ldf", "cs", "lbcs", "derand")
 _TASK_NR = {"observables": 5, "energy": 5, "moment2": 5,
             "purity": 1, "ptmoments": 1, "certify": 1}
 _TASK_CODE = {name: i for i, name in enumerate(sorted(_TASK_NR))}

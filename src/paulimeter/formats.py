@@ -241,8 +241,6 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
     n = int(d["n"])
     terms = tuple(PauliString.from_text(t) for t in d["terms"])
     members = tuple(tuple(m) for m in d["members"]) if "members" in d else None
-    if members is not None and any(t not in range(len(terms)) for m in members for t in m):
-        raise ValueError(f"members name term indices outside 0..{len(terms) - 1}")
     distribution = None
     if "distribution" in d:
         dd = d["distribution"]
@@ -255,8 +253,6 @@ def plan_from_dict(d: dict) -> MeasurementPlan:
                 raise ValueError("explicit plans need one members group per entry")
         else:
             distribution = BasisDistribution("product", product=np.array(dd["q"], dtype=float))
-            if distribution.product.shape != (n, 3):
-                raise ValueError(f"product table has shape {distribution.product.shape}, not ({n}, 3)")
     fixed = tuple(PauliString.from_text(b) for b in d["fixed_bases"]) if "fixed_bases" in d else None
     return MeasurementPlan(
         scheme=d["scheme"],

@@ -6,9 +6,11 @@ An n-qubit Pauli string is a tensor product of single-qubit operators from
 Letter code per site: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Site 0 is the
 leftmost letter of the text form, so ``"XZYI"`` puts X on site 0.
 
-The two-bit-plane layout makes the hit and compatibility relations (the
-estimator inner loops) a handful of word-parallel bit operations instead of
-per-site letter comparisons.
+The two-bit-plane layout makes the hit and compatibility relations between
+two strings a handful of word-parallel bit operations instead of per-site
+letter comparisons.  A :class:`WeightedPauliSum` also carries its terms as
+one letter matrix, ``letters[l, i]`` = code of term l at site i, which the
+planners and estimator kernels read as whole arrays.
 """
 
 from __future__ import annotations
@@ -206,10 +208,11 @@ class WeightedPauliSum:
 
     Terms are kept in insertion order.  Construction rejects duplicate
     Pauli strings and zero coefficients; use :meth:`from_terms` to collect
-    arbitrary (coefficient, pauli) pairs first.
+    arbitrary (coefficient, pauli) pairs first.  ``letters`` is the
+    read-only int8 (L, n) letter matrix whose row l is ``paulis[l].codes()``.
     """
 
-    __slots__ = ("n", "coeffs", "paulis")
+    __slots__ = ("n", "coeffs", "paulis", "letters")
 
     def __init__(self, n: int, terms) -> None:
         coeffs: list[float] = []
@@ -229,6 +232,8 @@ class WeightedPauliSum:
         self.n = n
         self.coeffs = tuple(coeffs)
         self.paulis = tuple(paulis)
+        self.letters = np.array([p.codes() for p in paulis], dtype=np.int8).reshape(len(paulis), n)
+        self.letters.setflags(write=False)
 
     @classmethod
     def from_terms(cls, n: int, terms, tol: float = 0.0) -> "WeightedPauliSum":

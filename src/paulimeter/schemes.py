@@ -17,12 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateObservable, PlanMismatch
-from .paulis import PauliString, WeightedPauliSum, compatible, hits
+from .paulis import PauliString, WeightedPauliSum, hits
 
 _PROB_TOL = 1e-10
 _LBCS_FLOOR = 1e-6
-# letter codes used throughout: 1=X, 2=Y, 3=Z
-_XYZ = (1, 2, 3)
+SCHEME_NAMES = ("l1", "ldf", "cs", "lbcs", "derand")
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,12 @@ class MeasurementPlan:
     of the terms it measures (a partition for grouping, near-singletons for
     importance sampling).  Derandomized plans instead carry the ordered
     ``fixed_bases`` and a warning list of term indices never hit.
+
+    Construction checks the fields against each other: a known scheme, fixed
+    bases for derandomized plans and a distribution for every other one,
+    terms, bases and product rows on n qubits, and member indices naming
+    terms.  Explicit plans may omit ``members``: ``variance_generic`` needs
+    none, and estimation from such a plan raises PlanMismatch.
     """
 
     scheme: str  # 'l1' | 'ldf' | 'cs' | 'lbcs' | 'derand'
@@ -81,6 +86,23 @@ class MeasurementPlan:
     converged: Optional[bool] = None
     unhit_terms: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {', '.join(SCHEME_NAMES)}")
+        dist = self.distribution
+        if self.scheme == "derand":
+            if not self.fixed_bases or dist is not None:
+                raise ValueError("derand plans need fixed_bases and no distribution")
+        elif dist is None:
+            raise ValueError(f"{self.scheme} plans need a distribution")
+        entries = dist.explicit if dist is not None and dist.kind == "explicit" else ()
+        if any(b.n != self.n for b in (*self.terms, *(self.fixed_bases or ()), *(b for b, _ in entries))):
+            raise ValueError(f"plan terms and bases must act on n={self.n} qubits")
+        if dist is not None and dist.kind == "product" and dist.product.shape != (self.n, 3):
+            raise ValueError(f"product table has shape {dist.product.shape}, not ({self.n}, 3)")
+        if self.members is not None and any(t not in range(len(self.terms)) for m in self.members for t in m):
+            raise ValueError(f"members name term indices outside 0..{len(self.terms) - 1}")
+
     @property
     def is_randomized(self) -> bool:
         return self.scheme != "derand"
@@ -91,19 +113,6 @@ class GroupingReport:
     group_count: int
     weights: tuple[float, ...]  # per-group l1 weight ||e_j||_1
     bases: tuple[PauliString, ...]
-
-
-def _z_first_fills(free_sites: tuple[int, ...]):
-    """All completions of the free sites, Z-fill first, deterministic order."""
-    for combo in itertools.product((3, 1, 2), repeat=len(free_sites)):
-        yield dict(zip(free_sites, combo))
-
-
-def _complete(term: PauliString, fill: dict[int, int]) -> PauliString:
-    codes = term.codes().copy()
-    for site, letter in fill.items():
-        codes[site] = letter
-    return PauliString.from_codes(codes)
 
 
 def plan_l1(o: WeightedPauliSum) -> MeasurementPlan:
@@ -122,13 +131,16 @@ def plan_l1(o: WeightedPauliSum) -> MeasurementPlan:
     entries: list[tuple[PauliString, float]] = []
     members: list[list[int]] = []
     claimed: dict[tuple[int, int], int] = {}
-    for idx, (coeff, term) in enumerate(o):
+    for idx, (coeff, row) in enumerate(zip(o.coeffs, o.letters)):
         prob = abs(coeff) / norm
-        free = tuple(i for i in range(o.n) if i not in term.support)
+        free = np.flatnonzero(row == 0)
+        codes = row.copy()
         chosen = None
         z_fill_key = None
-        for fill in _z_first_fills(free):
-            cand = _complete(term, fill)
+        # every completion of the free sites, Z-fill first, deterministic order
+        for fill in itertools.product((3, 1, 2), repeat=len(free)):
+            codes[free] = fill
+            cand = PauliString.from_codes(codes)
             key = (cand.x, cand.z)
             if z_fill_key is None:
                 z_fill_key = key
@@ -155,37 +167,23 @@ def plan_l1(o: WeightedPauliSum) -> MeasurementPlan:
     )
 
 
-def _fill_group_basis(o: WeightedPauliSum, member_idx: list[int], n: int) -> PauliString:
-    """Sitewise union of member letters; free sites filled for extra hits.
+def _fill_group_basis(letters: np.ndarray, members: list[int]) -> PauliString:
+    """Sitewise union of the member rows of the (L, n) letter matrix, with
+    the free sites filled for extra hits.
 
-    Each free site takes the letter carried there by the most outside terms
-    still hittable by the basis built so far (candidates scanned Z, X, Y so
-    ties fall to Z; sites with no candidate fall to Z too).
+    The outside terms (rows not in ``members``) that agree with the union on
+    its support stay alive.  Each free site, in ascending order, takes the
+    letter carried there by the most alive terms (candidates scanned Z, X, Y
+    so ties fall to Z; sites with no candidate fall to Z too), and terms
+    carrying another letter there die.
     """
-    codes = np.zeros(n, dtype=np.int8)
-    member_set = set(member_idx)
-    for idx in member_idx:
-        term_codes = o.paulis[idx].codes()
-        codes = np.where(term_codes != 0, term_codes, codes)
-    outside = [o.paulis[i].codes() for i in range(len(o)) if i not in member_set]
-    alive = [True] * len(outside)
-    for i in range(n):
-        if codes[i] != 0:
-            for t, tc in enumerate(outside):
-                if alive[t] and tc[i] != 0 and tc[i] != codes[i]:
-                    alive[t] = False
-    for i in range(n):
-        if codes[i] != 0:
-            continue
-        counts = {w: 0 for w in _XYZ}
-        for t, tc in enumerate(outside):
-            if alive[t] and tc[i] != 0:
-                counts[tc[i]] += 1
-        best = max((3, 1, 2), key=lambda w: counts[w])
-        codes[i] = best
-        for t, tc in enumerate(outside):
-            if alive[t] and tc[i] != 0 and tc[i] != best:
-                alive[t] = False
+    codes = letters[members].max(axis=0)  # compatible members agree sitewise
+    outside = np.delete(letters, members, axis=0)
+    alive = ~np.any((codes > 0) & (outside > 0) & (outside != codes), axis=1)
+    for i in np.flatnonzero(codes == 0):
+        counts = np.bincount(outside[alive, i], minlength=4)[[3, 1, 2]]
+        codes[i] = (3, 1, 2)[np.argmax(counts)]
+        alive &= (outside[:, i] == 0) | (outside[:, i] == codes[i])
     return PauliString.from_codes(codes)
 
 
@@ -202,23 +200,19 @@ def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> tuple[Measur
     if probabilities not in ("weight", "uniform"):
         raise ValueError(f"unknown probability rule {probabilities!r}")
     o.require_nonempty()
-    L = len(o)
-    adj = [[False] * L for _ in range(L)]
-    for i in range(L):
-        for j in range(i + 1, L):
-            if not compatible(o.paulis[i], o.paulis[j]):
-                adj[i][j] = adj[j][i] = True
-    degrees = [sum(row) for row in adj]
-    order = sorted(range(L), key=lambda v: (-degrees[v], v))
+    a, b = o.letters[:, None], o.letters[None, :]
+    adj = np.any((a > 0) & (b > 0) & (a != b), axis=2)  # incompatible term pairs
+    degrees = adj.sum(axis=1)
+    order = sorted(range(len(o)), key=lambda v: (-degrees[v], v))
     groups: list[list[int]] = []
     for v in order:
         for grp in groups:
-            if not any(adj[v][u] for u in grp):
+            if not adj[v, grp].any():
                 grp.append(v)
                 break
         else:
             groups.append([v])
-    bases = [_fill_group_basis(o, grp, o.n) for grp in groups]
+    bases = [_fill_group_basis(o.letters, grp) for grp in groups]
     for grp, basis in zip(groups, bases):
         for idx in grp:
             assert hits(basis, o.paulis[idx]), f"group basis {basis} misses {o.paulis[idx]}"
@@ -248,14 +242,19 @@ def plan_uniform_cs(n: int) -> MeasurementPlan:
     return MeasurementPlan(scheme="cs", n=n, distribution=BasisDistribution("product", product=q))
 
 
+def _lbcs_terms(o: WeightedPauliSum, q: np.ndarray, skip: int = -1) -> np.ndarray:
+    """alpha_l^2 / prod_{i in supp(O_l), i != skip} K_i(O_{l,i}) per term,
+    divided site by site in ascending order."""
+    val = np.square(o.coeffs)
+    for i, col in enumerate(o.letters.T):
+        if i != skip:
+            val = np.where(col > 0, val / q[i, col - 1], val)
+    return val
+
+
 def _lbcs_cost(o: WeightedPauliSum, q: np.ndarray) -> float:
-    total = 0.0
-    for coeff, term in o:
-        val = coeff * coeff
-        for i in term.support:
-            val /= q[i, term.code(i) - 1]
-        total += val
-    return total
+    # cumsum adds in term order; np.sum's pairwise order moves the last digits
+    return float(np.cumsum(_lbcs_terms(o, q))[-1])
 
 
 def plan_lbcs(o: WeightedPauliSum, max_sweeps: int = 200, tol: float = 1e-10) -> MeasurementPlan:
@@ -281,16 +280,9 @@ def plan_lbcs(o: WeightedPauliSum, max_sweeps: int = 200, tol: float = 1e-10) ->
     converged = False
     for _ in range(max_sweeps):
         before = cost
-        for i in range(n):
-            a = np.zeros(3)
-            for coeff, term in o:
-                if i not in term.support:
-                    continue
-                val = coeff * coeff
-                for i2 in term.support:
-                    if i2 != i:
-                        val /= q[i2, term.code(i2) - 1]
-                a[term.code(i) - 1] += val
+        for i, col in enumerate(o.letters.T):
+            on = col > 0
+            a = np.bincount(col[on] - 1, weights=_lbcs_terms(o, q, skip=i)[on], minlength=3)
             if not np.any(a > 0):
                 continue
             cand = np.sqrt(a)
@@ -376,8 +368,7 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
     gamma = 1.0 - math.exp(-epsilon * epsilon / 2.0)
     L = len(o)
     n = o.n
-    codes = np.array([p.codes() for p in o.paulis])  # (L, n)
-    supp = codes != 0
+    supp = o.letters != 0
     w = supp.sum(axis=1)
     future_base = 1.0 - gamma * (3.0 ** (-w.astype(float)))
 
@@ -396,16 +387,11 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
             base = c[affected] * fut[affected]
             cur_a = cur[affected]
             pow_rest = 3.0 ** (-(r[affected] - 1.0))
-            best_letter = 0
-            best_cost = math.inf
-            for letter in _XYZ:
-                match = (codes[affected, i] == letter).astype(float)
-                cost = float(np.sum(base * (1.0 - gamma * cur_a * match * pow_rest)))
-                if cost < best_cost:
-                    best_cost = cost
-                    best_letter = letter
-            chosen[j, i] = best_letter
-            cur[affected] *= (codes[affected, i] == best_letter).astype(float)
+            match = (o.letters[affected, i] == np.array([[1], [2], [3]])).astype(float)  # X, Y, Z rows
+            cost = np.sum(base * (1.0 - gamma * cur_a * match * pow_rest), axis=1)
+            best = int(np.argmin(cost))  # the first minimum: X before Y before Z
+            chosen[j, i] = best + 1
+            cur[affected] *= match[best]
             r[affected] -= 1.0
         hits_j = cur  # r == 0 on every support site now
         hit_counts += hits_j.astype(np.int64)
@@ -424,6 +410,8 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
 def draw_bases(plan: MeasurementPlan, count: int, seed) -> list[PauliString]:
     """Draw ``count`` i.i.d. bases from a randomized plan, or return the
     fixed bases of a derandomized plan (count must match)."""
+    if count < 1:
+        raise ValueError("ns must be >= 1")
     if plan.scheme == "derand":
         if count != len(plan.fixed_bases):
             raise PlanMismatch(f"derandomized plan holds {len(plan.fixed_bases)} bases, not {count}")

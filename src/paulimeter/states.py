@@ -50,10 +50,14 @@ _EIGBASIS = {
 }
 
 
-def _dense_dim(n: int) -> int:
-    """2^n, once n is a valid qubit count within the dense bound."""
+def _check_qubits(n: int) -> None:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+
+
+def _dense_dim(n: int) -> int:
+    """2^n, once n is a valid qubit count within the dense bound."""
+    _check_qubits(n)
     if n > DENSE_MAX_QUBITS:
         raise FeasibilityError(f"a dense {n}-qubit state exceeds the bound of "
                                f"{DENSE_MAX_QUBITS} qubits (a 2^{2 * n}-entry matrix)")
@@ -186,6 +190,7 @@ def noise_from_fidelity(n: int, fidelity: float) -> float:
     For rho = (1-p)|g><g| + p I/2^n, F = <g|rho|g> = (1-p) + p/2^n, so
     p = (1-F) 2^n/(2^n - 1).
     """
+    _check_qubits(n)
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     dim = 2 ** n

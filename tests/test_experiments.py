@@ -441,15 +441,20 @@ def test_cli_empty_record_file_exits_2(tmp_path, args):
     assert result.stderr.splitlines() == [f"error: {rec_path}: no record lines"]
 
 
-@pytest.mark.parametrize(
-    "scheme,corrupt,fragment",
-    [
-        ("ldf", lambda d: d["members"].__setitem__(0, [99]), "term indices"),
-        ("lbcs", lambda d: d["distribution"].__setitem__("q", d["distribution"]["q"][:3]),
-         "product table"),
-    ],
-    ids=["members-out-of-range", "product-table-shape"],
-)
+MALFORMED_PLANS = [
+    pytest.param("ldf", lambda d: d["members"].__setitem__(0, [99]), "term indices",
+                 id="members-out-of-range"),
+    pytest.param("lbcs", lambda d: d["distribution"].__setitem__("q", d["distribution"]["q"][:3]),
+                 "product table", id="product-table-shape"),
+    pytest.param("derand", lambda d: d.pop("fixed_bases"), "need fixed_bases", id="derand-without-bases"),
+    pytest.param("cs", lambda d: d.pop("distribution"), "need a distribution", id="cs-without-distribution"),
+    pytest.param("cs", lambda d: d.__setitem__("scheme", "bogus"), "unknown scheme 'bogus'",
+                 id="unknown-scheme"),
+    pytest.param("l1", lambda d: d["terms"].__setitem__(0, "XYZ"), "n=4", id="term-of-wrong-n"),
+]
+
+
+@pytest.mark.parametrize("scheme,corrupt,fragment", MALFORMED_PLANS)
 def test_cli_malformed_plan_exits_2(tmp_path, scheme, corrupt, fragment):
     plan_path = tmp_path / "plan.json"
     run_cli(["plan", "--scheme", scheme, "--hamiltonian", "builtin:lattice4", "--out", str(plan_path)])
@@ -513,3 +518,60 @@ def test_observables_notes_report_count_and_weight_separately():
         f"derand N_s=1 repetition=0: {unhit} of 6 observables never hit, "
         f"never-hit weight epsilon0={float(unhit)!r}",
     )
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """The input files the error-path cases name: a sum with no terms, a
+    term of the wrong size, an empty record file, 11-qubit snapshots and one
+    corrupted plan per MALFORMED_PLANS case."""
+    tmp_path = tmp_path_factory.mktemp("error-inputs")
+    (tmp_path / "empty.ham").write_text("n 2\n")
+    (tmp_path / "bad.ham").write_text("n 2\n0.5 XYZ\n")
+    (tmp_path / "empty.rec").write_text("# no shots\n")
+    write_records(str(tmp_path / "wide.rec"), ShadowSet(11, np.ones((3, 11)), np.ones((3, 11))).records())
+    for case in MALFORMED_PLANS:
+        scheme, corrupt, _ = case.values
+        path = tmp_path / f"{case.id}.json"
+        run_cli(["plan", "--scheme", scheme, "--hamiltonian", "builtin:lattice4", "--ns", "5",
+                 "--out", str(path)])
+        d = json.loads(path.read_text())
+        corrupt(d)
+        path.write_text(json.dumps(d))
+    return tmp_path
+
+
+ERROR_PATHS = {
+    "shadows-qubits-0": "shadows --qubits 0 --out {tmp}/s.rec",
+    "purity-qubits-0": "purity --qubits 0",
+    "ptmoments-qubits-0": "ptmoments --qubits 0 --mask 1",
+    "certify-qubits-0": "certify --qubits 0",
+    "sample-ns-0": "sample --scheme cs --ns 0 --out {tmp}/r.rec",
+    "sample-qubits-0": "sample --scheme cs --qubits 0 --out {tmp}/r.rec",
+    "sample-without-plan": "sample --ns 5 --out {tmp}/r.rec",
+    "shadows-dense-bound": "shadows --qubits 16 --ns 5 --out {tmp}/s.rec",
+    "shadows-fidelity": "shadows --fidelity 2 --out {tmp}/s.rec",
+    "purity-bad-mask": "purity --qubits 3 --mask 9",
+    "plan-missing-file": "plan --scheme l1 --hamiltonian {tmp}/missing.ham",
+    "plan-bad-term": "plan --scheme l1 --hamiltonian {tmp}/bad.ham",
+    "plan-unknown-builtin": "plan --scheme l1 --hamiltonian builtin:nothing",
+    "plan-no-terms": "plan --scheme l1 --hamiltonian {tmp}/empty.ham",
+    "plan-derand-ns-0": "plan --scheme derand --hamiltonian builtin:lattice4 --ns 0",
+    "estimate-missing-records": "estimate --records {tmp}/none.rec --hamiltonian builtin:lattice4",
+    "estimate-empty-records": "estimate --records {tmp}/empty.rec --hamiltonian builtin:lattice4 --scheme cs",
+    "estimate-without-plan": "estimate --records {tmp}/wide.rec --hamiltonian builtin:lattice4",
+    "ptmoments-eleven-qubits": "ptmoments --records {tmp}/wide.rec --mask 1 --order 3",
+    "bench-pool-too-large": "bench observables --scheme cs --qubits 3 --reps 1",
+    "bench-bad-grid": "bench observables --scheme cs --ns 1,x",
+    **{f"sample-plan-{case.id}": f"sample --plan {{tmp}}/{case.id}.json --ns 5 --out {{tmp}}/r.rec"
+       for case in MALFORMED_PLANS},
+}
+
+
+@pytest.mark.parametrize("args", list(ERROR_PATHS.values()), ids=list(ERROR_PATHS))
+def test_cli_error_paths_end_in_one_line(error_inputs, args):
+    result = run_cli(args.format(tmp=error_inputs).split())
+    assert result.exit_code in (2, 3)
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in result.output + result.stderr

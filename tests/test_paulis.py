@@ -197,3 +197,15 @@ def test_square_random_sums(n_terms_extra, data):
     h = WeightedPauliSum.from_terms(n, list(zip(coeffs, map(p, texts))))
     sq = square(h)
     np.testing.assert_allclose(sq.to_matrix(), h.to_matrix() @ h.to_matrix(), atol=1e-12)
+
+
+def test_weighted_sum_letter_matrix():
+    P = PauliString.from_text
+    h = WeightedPauliSum(3, [(0.5, P("XIZ")), (-1.0, P("IYI")), (2.0, P("ZZZ"))])
+    assert h.letters.dtype == np.int8
+    assert np.array_equal(h.letters, np.stack([p.codes() for p in h.paulis]))
+    with pytest.raises(ValueError):
+        h.letters[0, 0] = 3
+    assert WeightedPauliSum(5, ()).letters.shape == (0, 5)
+    for derived in (WeightedPauliSum.from_terms(3, list(h) + list(h)), square(h)):
+        assert np.array_equal(derived.letters, np.stack([p.codes() for p in derived.paulis]))

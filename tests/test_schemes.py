@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from paulimeter.errors import DegenerateObservable, PlanMismatch
+from paulimeter.experiments import default_observable_pool
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
 from paulimeter.formats import builtin_hamiltonian
 from paulimeter.schemes import (
     BasisDistribution,
+    MeasurementPlan,
     derandomization_cost,
     draw_bases,
     draw_basis,
@@ -231,3 +233,51 @@ def test_basis_distribution_validation():
         BasisDistribution("product", product=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         BasisDistribution("other")
+
+
+@pytest.mark.parametrize("name", ["lattice4", "pool"])
+def test_derandomized_letters_minimize_the_oracle_cost(name):
+    if name == "lattice4":
+        o = builtin_hamiltonian("lattice4")
+    else:
+        rng = np.random.default_rng(5)
+        pool = default_observable_pool(5, count=24, seed=2)
+        o = WeightedPauliSum(5, [(float(rng.normal()), p) for p in pool])
+    ns, eps = 30, 0.9
+    plan = plan_derandomized(o, ns, eps)
+    for j, basis in enumerate(plan.fixed_bases):
+        done = list(plan.fixed_bases[:j])
+        for i in range(o.n):
+            partial = {k: basis.code(k) for k in range(i)}
+            costs = {w: derandomization_cost(o, eps, ns, done, {**partial, i: w}) for w in (1, 2, 3)}
+            assert costs[basis.code(i)] <= min(costs.values()) + 1e-12, (j, i, costs)
+
+
+def test_measurement_plan_checks_its_fields():
+    terms = (P("ZZ"), P("XI"))
+    explicit = BasisDistribution("explicit", explicit=((P("ZZ"), 0.5), (P("XZ"), 0.5)))
+    product = BasisDistribution("product", product=np.full((2, 3), 1 / 3))
+    # explicit plans built in code may leave out members
+    MeasurementPlan(scheme="l1", n=2, terms=terms, distribution=explicit)
+    bad = [
+        dict(scheme="bogus", distribution=product),
+        dict(scheme="derand"),
+        dict(scheme="derand", fixed_bases=(P("ZZ"),), distribution=product),
+        dict(scheme="cs"),
+        dict(scheme="lbcs", distribution=BasisDistribution("product", product=np.full((3, 3), 1 / 3))),
+        dict(scheme="derand", fixed_bases=(P("ZZZ"),)),
+        dict(scheme="l1", distribution=BasisDistribution("explicit", explicit=((P("ZZZ"), 1.0),))),
+        dict(scheme="l1", distribution=explicit, members=((0,), (2,))),
+    ]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            MeasurementPlan(**{"n": 2, "terms": terms, **fields})
+    with pytest.raises(ValueError):
+        MeasurementPlan(scheme="cs", n=2, terms=(P("ZZZ"),), distribution=product)
+    with pytest.raises(ValueError):
+        MeasurementPlan(scheme="cs", n=0, distribution=product)
+
+
+def test_draw_bases_rejects_an_empty_count():
+    with pytest.raises(ValueError, match="ns must be >= 1"):
+        draw_bases(plan_uniform_cs(2), 0, 1)
