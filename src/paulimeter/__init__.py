@@ -37,6 +37,7 @@ from .states import (
     permutation_moment_oracle,
     random_mixed_state,
     sample_outcomes,
+    sample_settings,
 )
 from .schemes import (
     BasisDistribution,

@@ -70,13 +70,6 @@ class ShotBatch:
         self.bits = bits
         self.reps = reps
 
-    @classmethod
-    def from_settings(cls, bases, outcomes) -> "ShotBatch":
-        """Unit-shot rows for settings measured in turn: ``outcomes[k]`` is
-        the (shots, n) bit array sampled in ``bases[k]``."""
-        letters = np.array([b.codes() for b in bases], dtype=np.int8)
-        return cls(np.repeat(letters, [len(o) for o in outcomes], axis=0), np.concatenate(outcomes))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -157,7 +150,7 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
         if nb == 0 or len(batch) % nb != 0:
             raise PlanMismatch(f"{len(batch)} records do not cover {nb} planned settings evenly")
         nr = len(batch) // nb
-        planned = np.repeat(np.array([b.codes() for b in plan.fixed_bases]), nr, axis=0)
+        planned = np.repeat(plan.letters, nr, axis=0)
         wrong = np.flatnonzero(np.any(letters != planned, axis=1))
         if wrong.size:
             k = int(wrong[0])
@@ -165,7 +158,7 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
                                 f"{plan.fixed_bases[k // nr]} (setting {k // nr})")
     elif kind == "explicit":
         entry_of = _entry_of(o, plan)
-        entry_keys = _row_keys(np.array([b.codes() for b, _ in dist.explicit]))
+        entry_keys = _row_keys(plan.letters)
         keys = _row_keys(letters)
         order = np.argsort(entry_keys)
         ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order), len(order) - 1)]
@@ -348,8 +341,7 @@ def variance_generic(plan: MeasurementPlan, o: WeightedPauliSum, rho: DensityMat
     g = F diag(K) F^T with F[l, j] = hits(P_j, O_l) / sum_{P hits O_l} K."""
     k = _explicit_probs(plan, o, "variance_generic")
     terms = o.letters[:, None]
-    bases = np.array([b.codes() for b, _ in plan.distribution.explicit])
-    hit = np.all((terms == 0) | (terms == bases), axis=2)
+    hit = np.all((terms == 0) | (terms == plan.letters), axis=2)
     h = hit @ k
     if np.any(h == 0.0):
         raise CoverageError(f"term {o.paulis[int(np.argmin(h))]} is hit by no basis of the plan")

@@ -28,7 +28,7 @@ from .schemes import (
     plan_uniform_cs,
 )
 from .shadows import collect_shadows, p3_ppt_certificate, purity_ustat
-from .states import DensityMatrix, SubsystemMask, exact_expectation, noisy_ghz, sample_outcomes
+from .states import DensityMatrix, SubsystemMask, exact_expectation, noisy_ghz, sample_settings
 
 _TASK_NR = {"observables": 5, "energy": 5, "moment2": 5,
             "purity": 1, "ptmoments": 1, "certify": 1}
@@ -140,10 +140,9 @@ def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
                   ss: np.random.SeedSequence) -> ShotBatch:
     """ns settings, nr unit shots each, in planned order."""
     basis_ss, outcome_ss = ss.spawn(2)
-    bases = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    subs = outcome_ss.spawn(len(bases))
-    outcomes = [sample_outcomes(rho, basis, nr, sub) for basis, sub in zip(bases, subs)]
-    return ShotBatch.from_settings(bases, outcomes)
+    letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
+    return ShotBatch(np.repeat(letters, nr, axis=0),
+                     sample_settings(rho, letters, nr, outcome_ss.spawn(ns)))
 
 
 def _fmt(v) -> str:

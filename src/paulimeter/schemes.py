@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -75,6 +75,11 @@ class MeasurementPlan:
     terms, bases and product rows on n qubits, and member indices naming
     terms.  Explicit plans may omit ``members``: ``variance_generic`` needs
     none, and estimation from such a plan raises PlanMismatch.
+
+    ``letters`` is the read-only int8 (B, n) letter matrix of the plan's
+    bases, built once here: row k is ``fixed_bases[k].codes()`` for
+    derandomized plans and the k-th entry's basis for explicit ones.
+    Product plans have no list of bases and get a (0, n) matrix.
     """
 
     scheme: str  # 'l1' | 'ldf' | 'cs' | 'lbcs' | 'derand'
@@ -85,6 +90,7 @@ class MeasurementPlan:
     fixed_bases: Optional[tuple[PauliString, ...]] = None
     converged: Optional[bool] = None
     unhit_terms: tuple[int, ...] = ()
+    letters: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
@@ -102,6 +108,10 @@ class MeasurementPlan:
             raise ValueError(f"product table has shape {dist.product.shape}, not ({self.n}, 3)")
         if self.members is not None and any(t not in range(len(self.terms)) for m in self.members for t in m):
             raise ValueError(f"members name term indices outside 0..{len(self.terms) - 1}")
+        bases = self.fixed_bases or tuple(b for b, _ in entries)
+        letters = np.array([b.codes() for b in bases], dtype=np.int8).reshape(len(bases), self.n)
+        letters.setflags(write=False)
+        object.__setattr__(self, "letters", letters)
 
     @property
     def is_randomized(self) -> bool:
@@ -407,22 +417,22 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
     )
 
 
-def draw_bases(plan: MeasurementPlan, count: int, seed) -> list[PauliString]:
+def draw_bases(plan: MeasurementPlan, count: int, seed) -> np.ndarray:
     """Draw ``count`` i.i.d. bases from a randomized plan, or return the
-    fixed bases of a derandomized plan (count must match)."""
+    fixed bases of a derandomized plan (count must match), as an int8
+    (count, n) letter array whose row k is the k-th basis's letter codes."""
     if count < 1:
         raise ValueError("ns must be >= 1")
     if plan.scheme == "derand":
-        if count != len(plan.fixed_bases):
-            raise PlanMismatch(f"derandomized plan holds {len(plan.fixed_bases)} bases, not {count}")
-        return list(plan.fixed_bases)
+        if count != len(plan.letters):
+            raise PlanMismatch(f"derandomized plan holds {len(plan.letters)} bases, not {count}")
+        return plan.letters
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dist = plan.distribution
     if dist.kind == "explicit":
         probs = np.array([p for _, p in dist.explicit])
         idx = np.searchsorted(np.cumsum(probs), rng.random(count), side="right")
-        idx = np.minimum(idx, len(probs) - 1)
-        return [dist.explicit[i][0] for i in idx]
+        return plan.letters[np.minimum(idx, len(probs) - 1)]
     q = dist.product
     n = plan.n
     letters = np.empty((count, n), dtype=np.int8)
@@ -430,7 +440,7 @@ def draw_bases(plan: MeasurementPlan, count: int, seed) -> list[PauliString]:
         cum = np.cumsum(q[i])
         col = np.searchsorted(cum, rng.random(count), side="right")
         letters[:, i] = np.minimum(col, 2) + 1
-    return [PauliString.from_codes(letters[k]) for k in range(count)]
+    return letters
 
 
 def draw_basis(plan: MeasurementPlan, index_or_seed) -> PauliString:
@@ -441,4 +451,4 @@ def draw_basis(plan: MeasurementPlan, index_or_seed) -> PauliString:
         if not 0 <= index < len(plan.fixed_bases):
             raise PlanMismatch(f"index {index} outside the {len(plan.fixed_bases)} fixed bases")
         return plan.fixed_bases[index]
-    return draw_bases(plan, 1, index_or_seed)[0]
+    return PauliString.from_codes(draw_bases(plan, 1, index_or_seed)[0])

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimators import ShotBatch
 from .paulis import PauliString
-from .states import DensityMatrix, SubsystemMask, _transpose_sites, sample_outcomes
+from .states import DensityMatrix, SubsystemMask, _transpose_sites, sample_settings
 
 _PAULI_2X2 = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -49,13 +49,6 @@ for _c in range(3):
 
 _MAX_DENSE_QUBITS = 10
 _MC_CHUNK = 1 << 16
-
-# Z-axis images of the 24 single-qubit Cliffords: each signed Pauli axis
-# appears exactly four times, so uniform sampling over the group induces the
-# same snapshot law as uniform (letter, sign) sampling
-_CLIFFORD24_Z_IMAGE = tuple(
-    (code, sign) for code in (1, 2, 3) for sign in (1, -1) for _ in range(4)
-)
 
 
 @dataclass(frozen=True)
@@ -141,34 +134,15 @@ class ShadowSet(ShotBatch):
         return self
 
 
-def collect_shadows(rho: DensityMatrix, ns: int, seed, mode: str = "pauli") -> ShadowSet:
-    """Simulate ns uniform-ensemble snapshots of rho.
-
-    mode "pauli" draws an independent uniform letter per qubit; mode
-    "clifford24" draws uniformly from the single-qubit Clifford group,
-    represented by each element's image of the Z axis.  The axis sign
-    cancels out of the snapshot (it flips the outcome bit and the factor
-    orientation together), so both modes induce the same snapshot law.
-    """
+def collect_shadows(rho: DensityMatrix, ns: int, seed) -> ShadowSet:
+    """Simulate ns uniform-ensemble snapshots of rho: an independent uniform
+    letter per qubit, then one shot per snapshot."""
     if ns < 1:
         raise ValueError("ns must be >= 1")
-    if mode not in ("pauli", "clifford24"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    n = rho.n
-    if mode == "pauli":
-        letters = rng.integers(1, 4, size=(ns, n), dtype=np.int8)
-    else:
-        picks = rng.integers(0, 24, size=(ns, n))
-        table = np.array(_CLIFFORD24_Z_IMAGE, dtype=np.int8)
-        letters = table[picks, 0]
-    signs = np.empty((ns, n), dtype=np.int8)
-    sub = np.random.SeedSequence(seed).spawn(ns)
-    for k in range(ns):
-        basis = PauliString.from_codes(letters[k].tolist())
-        bits = sample_outcomes(rho, basis, 1, sub[k])[0]
-        signs[k] = 1 - 2 * bits.astype(np.int8)
-    return ShadowSet(n, letters, signs, seed_info=f"mode={mode} seed={seed} ns={ns}")
+    letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
+    bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed).spawn(ns))
+    return ShadowSet(rho.n, letters, 1 - 2 * bits.astype(np.int8),
+                     seed_info=f"mode=pauli seed={seed} ns={ns}")
 
 
 def _require(shadows: ShadowSet, least: int, what: str) -> int:

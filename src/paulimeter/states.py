@@ -14,7 +14,9 @@ per basis instead of the O(n 4^n) of rotating rho itself.  ``ghz`` and
 ``admix_white_noise`` carry their form (r = 1); any other state gets it
 from one eigendecomposition of ``mat`` on its first sample.
 ``sample_outcomes`` also keeps each basis's inverse-CDF table on the state,
-so repeated settings pay only the draw.
+so repeated settings pay only the draw.  Measured bases travel as int8
+letter rows (1=X, 2=Y, 3=Z); ``sample_settings`` is the one loop over
+settings, and it builds a PauliString once per distinct row.
 
 Sites are 0-based internally; :class:`SubsystemMask` speaks the 1-based
 labels used everywhere user-facing.
@@ -188,12 +190,14 @@ def noise_from_fidelity(n: int, fidelity: float) -> float:
     """White-noise weight p giving the stated fidelity to the pure target.
 
     For rho = (1-p)|g><g| + p I/2^n, F = <g|rho|g> = (1-p) + p/2^n, so
-    p = (1-F) 2^n/(2^n - 1).
+    p = (1-F) 2^n/(2^n - 1).  F runs from 1/2^n (maximally mixed, p = 1)
+    to 1, and a fidelity outside that range is rejected.
     """
     _check_qubits(n)
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     dim = 2 ** n
+    if not 1.0 / dim <= fidelity <= 1.0:
+        raise ValueError(f"fidelity {fidelity} outside [1/2^{n}, 1]; the maximally mixed "
+                         f"{n}-qubit state already has fidelity 1/2^{n} = {1.0 / dim!r}")
     return (1.0 - fidelity) * dim / (dim - 1)
 
 
@@ -255,6 +259,19 @@ def sample_outcomes(rho: DensityMatrix, basis: PauliString, shots: int, seed) ->
     n = rho.n
     shifts = n - 1 - np.arange(n)
     return ((draws[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Settings measured in turn: row k of the int8 (S, n) letter array is
+    sampled ``shots`` times with ``seeds[k]``.  Returns the (S*shots, n)
+    uint8 bits, setting by setting.  One PauliString is built per distinct
+    row, and ``sample_outcomes`` runs once per setting in row order.
+    """
+    rows, inverse = np.unique(letters, axis=0, return_inverse=True)
+    bases = [PauliString.from_codes(row) for row in rows]
+    # the inverse's shape varies across numpy 2.0.x; ravel fixes it to (S,)
+    return np.concatenate([sample_outcomes(rho, bases[j], shots, seed)
+                           for j, seed in zip(inverse.ravel(), seeds, strict=True)])
 
 
 def partial_trace(rho: DensityMatrix, keep: SubsystemMask) -> np.ndarray:

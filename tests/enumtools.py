@@ -59,7 +59,7 @@ def sample_records(plan, rho, ns, seed, nr=1):
 
     ss = np.random.SeedSequence(seed)
     basis_ss, outcome_ss = ss.spawn(2)
-    bases = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    return ShotBatch.from_settings(
-        bases, [sample_outcomes(rho, basis, nr, child) for child, basis in zip(outcome_ss.spawn(ns), bases)]
-    )
+    letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
+    outcomes = [sample_outcomes(rho, PauliString.from_codes(row), nr, child)
+                for child, row in zip(outcome_ss.spawn(ns), letters)]
+    return ShotBatch(np.repeat(letters, nr, axis=0), np.concatenate(outcomes))

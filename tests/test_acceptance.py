@@ -287,7 +287,7 @@ def empirical_single_shot_variance(plan, o, rho, shots, seed):
     """Sample variance of the one-shot estimator, folded over the finite
     (basis, outcome) alphabet, plus its standard error."""
     rng = np.random.default_rng(seed)
-    bases = draw_bases(plan, shots, rng)
+    bases = [PauliString.from_codes(row) for row in draw_bases(plan, shots, rng)]
     counts = collections.Counter((b.x, b.z) for b in bases)
     lookup = {}
     records = []

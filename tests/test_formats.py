@@ -259,3 +259,50 @@ def test_read_plan_errors(tmp_path):
     missing.write_text('{"scheme": "l1"}')
     with pytest.raises(FormatError, match="bad plan file"):
         read_plan(str(missing))
+
+
+@st.composite
+def observables(draw):
+    """Random observables on n = 1..5 qubits: distinct non-identity terms
+    with coefficients of either sign."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=8, unique_by=tuple))
+    coeffs = draw(st.lists(st.floats(0.01, 2.0), min_size=len(rows), max_size=len(rows)))
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=len(rows), max_size=len(rows)))
+    return WeightedPauliSum(n, [(s * c, PauliString.from_codes(r))
+                                for s, c, r in zip(signs, coeffs, rows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(observables(), st.sampled_from(("l1", "ldf", "cs", "lbcs", "derand")), st.integers(1, 6))
+def test_plan_round_trip_property(o, scheme, ns):
+    plan = {"l1": lambda: plan_l1(o), "ldf": lambda: plan_ldf(o)[0],
+            "cs": lambda: plan_uniform_cs(o.n), "lbcs": lambda: plan_lbcs(o),
+            "derand": lambda: plan_derandomized(o, ns)}[scheme]()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_plan(f"{tmp}/plan.json", plan)
+        back = read_plan(f"{tmp}/plan.json")
+    for name in ("scheme", "n", "terms", "members", "fixed_bases", "converged", "unhit_terms"):
+        assert getattr(back, name) == getattr(plan, name)
+    np.testing.assert_array_equal(back.letters, plan.letters)
+    assert back.letters.dtype == plan.letters.dtype
+    if plan.distribution is None:
+        assert back.distribution is None
+    elif plan.distribution.kind == "explicit":
+        assert back.distribution.explicit == plan.distribution.explicit
+    else:
+        np.testing.assert_array_equal(back.distribution.product, plan.distribution.product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(observables(), st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+                               min_size=8, max_size=8),
+       st.text(alphabet="abc #\n", max_size=20))
+def test_hamiltonian_round_trip_property(o, coeffs, comment):
+    h = WeightedPauliSum(o.n, list(zip(coeffs, o.paulis)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_hamiltonian(f"{tmp}/h.ham", h, comment=comment)
+        back = parse_hamiltonian(f"{tmp}/h.ham")
+    assert (back.n, back.coeffs, back.paulis) == (h.n, h.coeffs, h.paulis)
+    np.testing.assert_array_equal(back.letters, h.letters)

@@ -197,8 +197,8 @@ def test_draw_bases_deterministic_and_distributed():
     plan = plan_l1(o)
     a = draw_bases(plan, 4000, 7)
     b = draw_bases(plan, 4000, 7)
-    assert a == b
-    counts = collections.Counter(str(x) for x in a)
+    np.testing.assert_array_equal(a, b)
+    counts = collections.Counter(str(PauliString.from_codes(x)) for x in a)
     for basis, prob in entry_map(plan).items():
         sigma = np.sqrt(prob * (1 - prob) * 4000)
         assert abs(counts[basis] - 4000 * prob) < 5 * sigma
@@ -207,7 +207,7 @@ def test_draw_bases_deterministic_and_distributed():
 def test_draw_bases_product_distribution():
     plan = plan_uniform_cs(2)
     drawn = draw_bases(plan, 9000, 3)
-    counts = collections.Counter(str(x) for x in drawn)
+    counts = collections.Counter(str(PauliString.from_codes(x)) for x in drawn)
     assert len(counts) == 9
     for c in counts.values():
         assert abs(c - 1000) < 5 * np.sqrt(1000 * (1 - 1.0 / 9.0))
@@ -216,7 +216,7 @@ def test_draw_bases_product_distribution():
 def test_draw_bases_derandomized_alignment():
     o = WeightedPauliSum(2, [(1.0, P("ZZ")), (1.0, P("XX"))])
     plan = plan_derandomized(o, 4)
-    assert draw_bases(plan, 4, 0) == list(plan.fixed_bases)
+    assert [PauliString.from_codes(x) for x in draw_bases(plan, 4, 0)] == list(plan.fixed_bases)
     with pytest.raises(PlanMismatch):
         draw_bases(plan, 5, 0)
     assert draw_basis(plan, 2) == plan.fixed_bases[2]
@@ -281,3 +281,43 @@ def test_measurement_plan_checks_its_fields():
 def test_draw_bases_rejects_an_empty_count():
     with pytest.raises(ValueError, match="ns must be >= 1"):
         draw_bases(plan_uniform_cs(2), 0, 1)
+
+
+def letter_test_plans():
+    o = WeightedPauliSum(3, [(0.5, P("ZZI")), (0.25, P("XIY")), (-0.25, P("IYY"))])
+    return [plan_l1(o), plan_ldf(o)[0], plan_uniform_cs(3), plan_lbcs(o), plan_derandomized(o, 4)]
+
+
+@pytest.mark.parametrize("plan", letter_test_plans(), ids=lambda p: p.scheme)
+def test_plan_letters_stack_the_plan_bases(plan):
+    from paulimeter.formats import plan_to_dict
+
+    if plan.scheme == "derand":
+        bases = plan.fixed_bases
+    elif plan.distribution.kind == "explicit":
+        bases = [b for b, _ in plan.distribution.explicit]
+    else:
+        bases = []
+    assert plan.letters.dtype == np.int8 and plan.letters.shape == (len(bases), 3)
+    np.testing.assert_array_equal(plan.letters, np.array([b.codes() for b in bases]).reshape(-1, 3))
+    with pytest.raises(ValueError):
+        plan.letters[...] = 1
+    assert "letters" not in repr(plan) and "letters" not in plan_to_dict(plan)
+    if plan.scheme == "derand":
+        # an array field in == would raise on the ambiguous truth value
+        rebuilt = MeasurementPlan("derand", 3, plan.terms, fixed_bases=plan.fixed_bases,
+                                  unhit_terms=plan.unhit_terms)
+        assert rebuilt == plan
+
+
+@pytest.mark.parametrize("plan", letter_test_plans(), ids=lambda p: p.scheme)
+def test_draw_bases_returns_a_letter_array(plan):
+    count = 4
+    drawn = draw_bases(plan, count, 11)
+    assert drawn.dtype == np.int8 and drawn.shape == (count, 3)
+    if plan.scheme == "derand":
+        np.testing.assert_array_equal(drawn, plan.letters)
+    elif plan.distribution.kind == "explicit":
+        assert all(any((row == e).all() for e in plan.letters) for row in drawn)
+    else:
+        assert set(np.unique(drawn)) <= {1, 2, 3}

@@ -120,17 +120,6 @@ def test_collect_shadows_deterministic():
     assert snap.bits == tuple(int(s < 0) for s in a.signs[4])
     with pytest.raises(ValueError):
         collect_shadows(rho, 0, 1)
-    with pytest.raises(ValueError):
-        collect_shadows(rho, 10, 1, mode="bulk")
-
-
-def test_clifford24_mode_matches_pauli_law():
-    rho = ghz(2)
-    sh = collect_shadows(rho, 4000, 5, mode="clifford24")
-    assert set(np.unique(sh.letters)) <= {1, 2, 3}
-    o = WeightedPauliSum(2, [(1.0, P("ZZ")), (1.0, P("XX"))])
-    est = estimate(sh, plan_uniform_cs(2), o).value
-    assert est == pytest.approx(2.0, abs=0.5)
 
 
 def test_records_round_trip_and_validation():

@@ -25,6 +25,7 @@ from paulimeter.states import (
     permutation_moment_oracle,
     random_mixed_state,
     sample_outcomes,
+    sample_settings,
 )
 
 P = PauliString.from_text
@@ -233,6 +234,34 @@ def test_sampling_is_seeded_and_close_to_born():
 def test_sample_outcomes_rejects_bad_shots():
     with pytest.raises(ValueError):
         sample_outcomes(ghz(2), P("ZZ"), 0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("shots", [1, 3])
+def test_sample_settings_equals_the_per_setting_loop(n, shots):
+    rng = np.random.default_rng(100 + n)
+    rho = random_mixed_state(n, rng)
+    distinct = rng.integers(1, 4, size=(4, n), dtype=np.int8)
+    letters = distinct[rng.integers(0, 4, size=12)]  # rows repeat
+    int_seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(letters))]
+    for seeds in (int_seeds, np.random.SeedSequence(n).spawn(len(letters))):
+        loop = np.concatenate([sample_outcomes(rho, PauliString.from_codes(row), shots, seed)
+                               for row, seed in zip(letters, seeds)])
+        got = sample_settings(rho, letters, shots, seeds)
+        assert got.dtype == np.uint8 and got.shape == (len(letters) * shots, n)
+        np.testing.assert_array_equal(got, loop)
+
+
+def test_sample_settings_needs_one_seed_per_setting():
+    letters = np.array([[3, 3], [1, 1]], dtype=np.int8)
+    with pytest.raises(ValueError):
+        sample_settings(ghz(2), letters, 1, [1])
+
+
+def test_fidelity_below_the_maximally_mixed_bound_is_named():
+    assert noise_from_fidelity(2, 0.25) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"fidelity 0\.1 outside \[1/2\^2, 1\].*maximally mixed"):
+        noise_from_fidelity(2, 0.1)
 
 
 def test_exact_expectation_ghz():
