@@ -335,3 +335,7 @@ def bench_cmd(task, scheme_texts, hamiltonian, ns_text, nr, reps, seed, fidelity
     _echo_out(result.csv, out)
     if out is not None:
         click.echo(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

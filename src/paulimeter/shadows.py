@@ -16,6 +16,10 @@ the second PT moment is the full-system purity, and in the third-order sum
 over T_m = sum_k (M_k^{T_A})^m only Tr[T1^3] depends on the mask A: T1 is
 the partial transpose of the dense snapshot sum, Tr[T2 T1] is the pair sum
 at alpha = 5/2 below, and Tr[T3] = N 7^n.
+
+Per set, built once and kept on the ShadowSet: T1, S_all(5/2), the purity
+sum S_all(1/2) behind p2, and every pair sum asked for.  Per mask: the
+index-swap transpose of T1, Tr[T1^3] (two 2^n matmuls) and its own purity.
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ class ShadowSet(ShotBatch):
             raise ValueError("signs must be +-1")
         super().__init__(letters, signs < 0)
         self.seed_info = seed_info
+        self._sums: dict = {}  # per-set memo of _snapshot_sum and _pair_sum
 
     @property
     def signs(self) -> np.ndarray:
@@ -153,6 +158,14 @@ def _require(shadows: ShadowSet, least: int, what: str) -> int:
 
 
 def _snapshot_sum(shadows: ShadowSet) -> np.ndarray:
+    """T1 = sum_k M_k, built once per set and kept read-only in its memo."""
+    if "t1" not in shadows._sums:
+        shadows._sums["t1"] = _build_snapshot_sum(shadows)
+        shadows._sums["t1"].setflags(write=False)
+    return shadows._sums["t1"]
+
+
+def _build_snapshot_sum(shadows: ShadowSet) -> np.ndarray:
     """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
     dim = 2 ** shadows.n
     total = np.zeros((dim, dim), dtype=complex)
@@ -178,6 +191,14 @@ def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
 
 
 def _pair_sum(shadows: ShadowSet, sites, alpha: float) -> float:
+    """_pair_kernel, kept in the set's memo under (sites, alpha)."""
+    key = (tuple(sites), alpha)
+    if key not in shadows._sums:
+        shadows._sums[key] = _pair_kernel(shadows, key[0], alpha)
+    return shadows._sums[key]
+
+
+def _pair_kernel(shadows: ShadowSet, sites, alpha: float) -> float:
     """Sum over all ordered snapshot pairs (a, b), a = b included, of
     prod_{i in sites} (alpha + 9/2 s_a s_b [W_a = W_b]).
 

@@ -4,12 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import paulimeter
 from paulimeter.cli import main
 from paulimeter.estimators import estimate
 from paulimeter.experiments import (
@@ -616,3 +620,47 @@ def test_seeded_cli_outputs_match_pinned_digests(tmp_path):
              "--out", str(snaps)])
     got["shadows"] = digest(snaps)
     assert got == PINNED_DIGESTS
+
+
+# sha256 of seeded certificate CSVs recorded at commit b3953b4: `certify
+# --records` on the pinned shadows record file (all default masks, full
+# strategy) and a small `bench certify` at n=6.
+PINNED_CERTIFY_DIGESTS = {
+    "certify": "bd12a82bdcae78981bb4697234353f211b152dbdcab1aefead367051cf537b0f",
+    "bench certify": "179ac34d79b38ee873531240183009fe962b48deba38f33a7d25eb5b1d0e87b5",
+}
+
+
+def test_seeded_certificates_match_pinned_digests(tmp_path):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    snaps, cert, bench = tmp_path / "shadows.rec", tmp_path / "cert.csv", tmp_path / "bench.csv"
+    run_cli(["shadows", "--qubits", "4", "--ns", "200", "--seed", "3", "--fidelity", "0.9",
+             "--out", str(snaps)])
+    assert digest(snaps) == PINNED_DIGESTS["shadows"]
+    run_cli(["certify", "--records", str(snaps), "--out", str(cert)])
+    run_cli(["bench", "certify", "--qubits", "6", "--ns", "40", "--reps", "1", "--seed", "5",
+             "--fidelity", "0.9", "--out", str(bench)])
+    assert {"certify": digest(cert), "bench certify": digest(bench)} == PINNED_CERTIFY_DIGESTS
+
+
+def run_module_cli(args, cwd):
+    src = os.path.dirname(os.path.dirname(paulimeter.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "paulimeter.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_cli_runs_the_command_line(tmp_path):
+    result = run_module_cli(["--help"], tmp_path)
+    assert result.returncode == 0
+    assert "Usage:" in result.stdout
+    result = run_module_cli(["shadows", "--qubits", "2", "--fidelity", "0.1", "--out", "x.rec"],
+                            tmp_path)
+    assert result.returncode == 2
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in result.stdout + result.stderr
+    assert not (tmp_path / "x.rec").exists()

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import paulimeter.shadows as shadows_module
 from enumtools import weighted_shots
 from paulimeter.errors import (
     DimensionMismatch,
@@ -20,6 +21,8 @@ from paulimeter.schemes import plan_uniform_cs
 from paulimeter.shadows import (
     ShadowSet,
     Snapshot,
+    _build_snapshot_sum,
+    _snapshot_sum,
     collect_shadows,
     p3_ppt_certificate,
     pt_moment_ustat,
@@ -339,3 +342,85 @@ def test_ghz4_statistics_and_certificates():
     assert exact_pt_moment(rho, cut, 2) ** 2 - exact_pt_moment(rho, cut, 3) == pytest.approx(0.75)
     assert mom["margin"] == pytest.approx(0.75, abs=0.65)
     assert mom["entangled"] is True
+
+
+# every mask of 1-3 sites at n=6, the masks of the certify sweep
+MASKS_N6 = tuple(SubsystemMask(6, frozenset(c)) for k in (1, 2, 3)
+                 for c in itertools.combinations(range(1, 7), k))
+
+
+def certificates(sh: ShadowSet, masks) -> dict:
+    return {str(m): (p3_ppt_certificate(sh, m), purity_certificate(sh, m)) for m in masks}
+
+
+def fresh_copy(sh: ShadowSet) -> ShadowSet:
+    return ShadowSet(sh.n, sh.letters, sh.signs)
+
+
+def counting(monkeypatch, name: str) -> list:
+    calls = []
+    build = getattr(shadows_module, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(shadows_module, name, counted)
+    return calls
+
+
+def test_mask_independent_sums_are_built_once_per_set(monkeypatch):
+    assert len(MASKS_N6) == 41
+    sh = collect_shadows(random_mixed_state(6, np.random.default_rng(2)), 40, 9)
+    t1_builds = counting(monkeypatch, "_build_snapshot_sum")
+    pair_sums = counting(monkeypatch, "_pair_kernel")
+    certificates(sh, MASKS_N6)
+    assert len(t1_builds) == 1
+    # S_all(1/2) for p2 and S_all(5/2) for p3 once each, then one subsystem
+    # purity per mask
+    full = tuple(range(6))
+    assert pair_sums[:2] == [(full, 0.5), (full, 2.5)]
+    assert sorted(pair_sums[2:]) == sorted((m.indices, 0.5) for m in MASKS_N6)
+    reconstruct_mean(sh)
+    assert len(t1_builds) == 1 and len(pair_sums) == 2 + 41
+
+
+def test_cached_snapshot_sum_is_exact_and_read_only():
+    sh = collect_shadows(random_mixed_state(4, np.random.default_rng(4)), 30, 8)
+    t1 = _snapshot_sum(sh)
+    assert _snapshot_sum(sh) is t1
+    fresh = _build_snapshot_sum(sh)
+    assert t1.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        t1[0, 0] = 0.0
+    p3_ppt_certificate(sh, SubsystemMask.of(4, 1, 3))
+    assert t1.tobytes() == fresh.tobytes()
+
+
+def test_certificates_do_not_depend_on_mask_order():
+    sh = collect_shadows(random_mixed_state(6, np.random.default_rng(6)), 40, 12)
+    given = certificates(sh, MASKS_N6)
+    shuffled = list(MASKS_N6)
+    np.random.default_rng(1).shuffle(shuffled)
+    assert certificates(fresh_copy(sh), shuffled) == given
+    assert {str(m): certificates(fresh_copy(sh), [m])[str(m)] for m in MASKS_N6} == given
+
+
+def test_sets_with_different_data_share_no_memo():
+    rho = random_mixed_state(4, np.random.default_rng(7))
+    one, two = collect_shadows(rho, 30, 1), collect_shadows(rho, 30, 2)
+    mask = SubsystemMask.of(4, 2)
+    want_two = certificates(fresh_copy(two), [mask])
+    got_one = certificates(one, [mask])
+    assert certificates(two, [mask]) == want_two != got_one
+    assert not np.array_equal(_snapshot_sum(one), _snapshot_sum(two))
+
+
+def test_reconstruct_mean_unchanged_by_certificates():
+    sh = collect_shadows(random_mixed_state(4, np.random.default_rng(8)), 30, 3)
+    before = reconstruct_mean(fresh_copy(sh))
+    certificates(sh, [SubsystemMask.of(4, 1), SubsystemMask.full(4)])
+    after = reconstruct_mean(sh)
+    assert after.tobytes() == before.tobytes()
+    after[0, 0] = 7.0
+    assert reconstruct_mean(sh).tobytes() == before.tobytes()
