@@ -89,7 +89,7 @@ def _state(qubits: int, fidelity: float):
 def _shadows_from(records_path, qubits, ns, seed, fidelity) -> ShadowSet:
     if records_path is not None:
         records = parse_records(records_path)
-        return ShadowSet.from_records(records, records.n, seed_info=f"file={records_path}")
+        return ShadowSet.from_records(records, seed_info=f"file={records_path}")
     rho = _state(qubits, fidelity)
     return collect_shadows(rho, ns, seed)
 

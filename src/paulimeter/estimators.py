@@ -83,6 +83,9 @@ class ShotBatch:
 
     __hash__ = None
 
+    def __reduce__(self):
+        return type(self), (self.letters, self.bits, self.reps)
+
     @property
     def shots(self) -> int:
         return int(self.reps.sum())

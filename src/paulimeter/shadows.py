@@ -20,6 +20,8 @@ at alpha = 5/2 below, and Tr[T3] = N 7^n.
 Per set, built once and kept on the ShadowSet: T1, S_all(5/2), the purity
 sum S_all(1/2) behind p2, and every pair sum asked for.  Per mask: the
 index-swap transpose of T1, Tr[T1^3] (two 2^n matmuls) and its own purity.
+T1 and the feature-map pair sums are both Kronecker sums over snapshots of
+per-site factors, built by the one chunked kernel _kron_sum.
 """
 
 from __future__ import annotations
@@ -36,20 +38,15 @@ from .errors import (
     InvalidBasis,
 )
 from .estimators import ShotBatch
-from .paulis import PauliString
+from .paulis import _MATS, PauliString
 from .states import DensityMatrix, SubsystemMask, _transpose_sites, sample_settings
 
-_PAULI_2X2 = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
 # factor (I + 3 s W)/2 indexed by [letter code - 1][0 if s=+1 else 1]
-_FACTOR = np.empty((3, 2, 2, 2), dtype=complex)
-for _c in range(3):
-    for _k, _s in enumerate((1.0, -1.0)):
-        _FACTOR[_c, _k] = (np.eye(2) + 3.0 * _s * _PAULI_2X2[_c]) / 2.0
+_FACTOR = np.array([[(np.eye(2) + 3.0 * s * w) / 2.0 for s in (1.0, -1.0)] for w in _MATS[1:]])
+if np.abs(np.trace(_FACTOR, axis1=2, axis2=3) - 1.0).max() > 1e-12:
+    raise AssertionError("snapshot factor trace is not 1")
+if np.abs(np.linalg.eigvalsh(_FACTOR) - [-1.0, 2.0]).max() > 1e-12:
+    raise AssertionError("snapshot factor eigenvalues are not {2, -1}")
 
 _MAX_DENSE_QUBITS = 10
 _MC_CHUNK = 1 << 16
@@ -70,12 +67,6 @@ class Snapshot:
             raise DimensionMismatch(f"{len(self.bits)} bits for an n={self.basis.n} basis")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
-        for f in self.factors:
-            if abs(np.trace(f).real - 1.0) > 1e-12:
-                raise AssertionError("snapshot factor trace is not 1")
-            ev = np.sort(np.linalg.eigvalsh(f))
-            if abs(ev[0] + 1.0) > 1e-12 or abs(ev[1] - 2.0) > 1e-12:
-                raise AssertionError("snapshot factor eigenvalues are not {2, -1}")
 
     @property
     def n(self) -> int:
@@ -116,6 +107,9 @@ class ShadowSet(ShotBatch):
         self.seed_info = seed_info
         self._sums: dict = {}  # per-set memo of _snapshot_sum and _pair_sum
 
+    def __reduce__(self):
+        return type(self), (self.n, self.letters, self.signs, self.seed_info)
+
     @property
     def signs(self) -> np.ndarray:
         return 1 - 2 * self.bits.astype(np.int8)
@@ -124,15 +118,13 @@ class ShadowSet(ShotBatch):
         return snapshot(PauliString.from_codes(self.letters[k]), self.bits[k])
 
     @classmethod
-    def from_records(cls, records: ShotBatch, n: int, seed_info: str = "") -> "ShadowSet":
+    def from_records(cls, records: ShotBatch, seed_info: str = "") -> "ShadowSet":
         """Expand a shot batch (reps included) into one snapshot per shot."""
-        if records.n != n:
-            raise DimensionMismatch(f"records of n={records.n} do not fit n={n}")
         if len(records) == 0:
             raise EmptyInput("no records to build shadows from")
         letters = np.repeat(records.letters, records.reps, axis=0)
         signs = 1 - 2 * np.repeat(records.bits, records.reps, axis=0).astype(np.int8)
-        return cls(n, letters, signs, seed_info)
+        return cls(records.n, letters, signs, seed_info)
 
     def records(self) -> ShotBatch:
         """The set as a shot batch, one row per snapshot (lossless)."""
@@ -165,20 +157,25 @@ def _snapshot_sum(shadows: ShadowSet) -> np.ndarray:
     return shadows._sums["t1"]
 
 
-def _build_snapshot_sum(shadows: ShadowSet) -> np.ndarray:
-    """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
-    dim = 2 ** shadows.n
-    total = np.zeros((dim, dim), dtype=complex)
-    factors = _FACTOR[shadows.letters - 1, shadows.bits]
-    chunk = max(1, (1 << 21) // (dim * dim))
-    for lo in range(0, len(shadows), chunk):
-        rows = factors[lo : lo + chunk]
-        out = rows[:, 0]
-        for j in range(1, shadows.n):
-            c, d, _ = out.shape
-            out = np.einsum("kab,kcd->kacbd", out, rows[:, j]).reshape(c, 2 * d, 2 * d)
+def _kron_sum(rows: np.ndarray) -> np.ndarray:
+    """sum_k kron_j rows[k, j] over an (N, m, a, b) stack of per-site
+    factors, in row chunks of at most 32 MiB of Kronecker products."""
+    count, m, a, b = rows.shape
+    total = np.zeros((a ** m, b ** m), dtype=rows.dtype)
+    chunk = max(1, (1 << 25) // (rows.itemsize * total.size))
+    for lo in range(0, count, chunk):
+        block = rows[lo : lo + chunk]
+        out = block[:, 0]
+        for j in range(1, m):
+            c, p, q = out.shape
+            out = np.einsum("kab,kcd->kacbd", out, block[:, j]).reshape(c, p * a, q * b)
         total += out.sum(axis=0)
     return total
+
+
+def _build_snapshot_sum(shadows: ShadowSet) -> np.ndarray:
+    """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
+    return _kron_sum(_FACTOR[shadows.letters - 1, shadows.bits])
 
 
 def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
@@ -218,16 +215,7 @@ def _pair_kernel(shadows: ShadowSet, sites, alpha: float) -> float:
         # sqrt(2 alpha)/sqrt(2) is exactly 1/sqrt(2) at alpha = 1/2
         phi[:, 0] = math.sqrt(2.0 * alpha) / math.sqrt(2.0)
         phi[np.arange(6), 1 + letter] = 3.0 * sign / math.sqrt(2.0)
-        dim = 4 ** m
-        acc = np.zeros(dim)
-        chunk = max(1, (1 << 22) // dim)
-        for lo in range(0, count, chunk):
-            rows = phi[code[lo : lo + chunk]]
-            out = rows[:, 0]
-            for j in range(1, m):
-                c, d = out.shape
-                out = np.einsum("kd,ke->kde", out, rows[:, j]).reshape(c, 4 * d)
-            acc += out.sum(axis=0)
+        acc = _kron_sum(phi[code][..., None])[:, 0]
         return float(acc @ acc)
     table = alpha + 4.5 * np.outer(sign, sign) * (letter[:, None] == letter)
     block = max(1, (1 << 20) // count)
@@ -320,20 +308,12 @@ def pt_moment_ustat(
     partials = []
     while remaining > 0:
         draw = rng.integers(0, count, size=(_MC_CHUNK, order))
-        if order == 2:
-            ok = draw[:, 0] != draw[:, 1]
-        else:
-            ok = (
-                (draw[:, 0] != draw[:, 1])
-                & (draw[:, 1] != draw[:, 2])
-                & (draw[:, 0] != draw[:, 2])
-            )
-        draw = draw[ok][:remaining]
+        draw = draw[np.all(np.diff(np.sort(draw, 1), 1) != 0, 1)][:remaining]
         if len(draw) == 0:
             continue
-        prod = np.einsum("kjab,kjbc->kjac", factors[draw[:, 0]], factors[draw[:, 1]])
-        if order == 3:
-            prod = np.einsum("kjab,kjbc->kjac", prod, factors[draw[:, 2]])
+        prod = factors[draw[:, 0]]
+        for t in range(1, order):
+            prod = np.einsum("kjab,kjbc->kjac", prod, factors[draw[:, t]])
         traces = prod[:, :, 0, 0] + prod[:, :, 1, 1]
         # a transposed site reverses its product of Hermitian factors, which
         # conjugates its trace

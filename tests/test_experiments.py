@@ -645,6 +645,20 @@ def test_seeded_certificates_match_pinned_digests(tmp_path):
     assert {"certify": digest(cert), "bench certify": digest(bench)} == PINNED_CERTIFY_DIGESTS
 
 
+# sha256 of `certify --records` on the pinned shadows file with Monte-Carlo
+# tuple sampling (`--strategy mc:20000 --seed 3`), recorded at commit 99397ad.
+PINNED_MC_CERTIFY_DIGEST = "0c88ebdafab0395c556d82e3576375d2269bcf5404b5d65b410767aef9489329"
+
+
+def test_seeded_mc_certificates_match_pinned_digest(tmp_path):
+    snaps, cert = tmp_path / "shadows.rec", tmp_path / "cert.csv"
+    run_cli(["shadows", "--qubits", "4", "--ns", "200", "--seed", "3", "--fidelity", "0.9",
+             "--out", str(snaps)])
+    run_cli(["certify", "--records", str(snaps), "--strategy", "mc:20000", "--seed", "3",
+             "--out", str(cert)])
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == PINNED_MC_CERTIFY_DIGEST
+
+
 def run_module_cli(args, cwd):
     src = os.path.dirname(os.path.dirname(paulimeter.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from paulimeter.shadows import (
     ShadowSet,
     Snapshot,
     _build_snapshot_sum,
+    _pair_kernel,
     _snapshot_sum,
     collect_shadows,
     p3_ppt_certificate,
@@ -128,20 +130,59 @@ def test_collect_shadows_deterministic():
 def test_records_round_trip_and_validation():
     rho = random_mixed_state(2, np.random.default_rng(2))
     sh = collect_shadows(rho, 30, 4)
-    back = ShadowSet.from_records(sh.records(), 2)
+    back = ShadowSet.from_records(sh.records())
     np.testing.assert_array_equal(back.letters, sh.letters)
     np.testing.assert_array_equal(back.signs, sh.signs)
     reps = ShotBatch([P("XZ").codes()], [(0, 1)], [3])
-    expanded = ShadowSet.from_records(reps, 2)
+    expanded = ShadowSet.from_records(reps)
     assert len(expanded) == 3
     with pytest.raises(EmptyInput):
-        ShadowSet.from_records(ShotBatch(np.empty((0, 2)), np.empty((0, 2))), 2)
-    with pytest.raises(DimensionMismatch):
-        ShadowSet.from_records(ShotBatch([P("X").codes()], [(0,)]), 2)
+        ShadowSet.from_records(ShotBatch(np.empty((0, 2)), np.empty((0, 2))))
     with pytest.raises(ValueError):
         ShadowSet(1, np.array([[4]]), np.array([[1]]))
     with pytest.raises(ValueError):
         ShadowSet(1, np.array([[1]]), np.array([[2]]))
+
+
+def test_pickle_round_trip_keeps_arrays_read_only_and_drops_memo():
+    batch = ShotBatch([P("XZ").codes(), P("YY").codes()], [(0, 1), (1, 1)], [3, 1])
+    back = pickle.loads(pickle.dumps(batch))
+    assert type(back) is ShotBatch and back == batch
+    sh = collect_shadows(random_mixed_state(3, np.random.default_rng(5)), 20, 6)
+    p3_ppt_certificate(sh, SubsystemMask.of(3, 1))
+    assert sh._sums
+    copy = pickle.loads(pickle.dumps(sh))
+    assert type(copy) is ShadowSet and copy == sh and copy.seed_info == sh.seed_info
+    assert copy._sums == {}
+    for arr in (back.letters, back.bits, back.reps, copy.letters, copy.bits, copy.reps):
+        assert not arr.flags.writeable
+    assert p3_ppt_certificate(copy, SubsystemMask.of(3, 1)) == (
+        p3_ppt_certificate(sh, SubsystemMask.of(3, 1)))
+
+
+def random_set(n: int, count: int, seed: int) -> ShadowSet:
+    rng = np.random.default_rng(seed)
+    return ShadowSet(n, rng.integers(1, 4, size=(count, n)), rng.choice([-1, 1], size=(count, n)))
+
+
+def test_snapshot_sum_across_chunks_matches_dense_snapshots():
+    # 600 snapshots at n=6 span two 512-row chunks of the Kronecker sum
+    sh = random_set(6, 600, 9)
+    want = sum(sh[k].to_matrix() for k in range(len(sh)))
+    np.testing.assert_allclose(_build_snapshot_sum(sh), want, rtol=0, atol=1e-9)
+
+
+def test_feature_map_pair_sum_across_chunks_matches_pair_table():
+    # 1100 snapshots put six sites on the feature map and span two
+    # 1024-row chunks of its Kronecker sum
+    sh = random_set(6, 1100, 10)
+    letters, signs = sh.letters.astype(int), sh.signs.astype(float)
+    for alpha in (0.5, 2.5):
+        pair = np.ones((len(sh), len(sh)))
+        for j in range(6):
+            same = letters[:, j, None] == letters[:, j]
+            pair *= alpha + 4.5 * np.outer(signs[:, j], signs[:, j]) * same
+        assert _pair_kernel(sh, range(6), alpha) == pytest.approx(pair.sum(), rel=1e-12)
 
 
 def test_reconstruct_mean_matches_snapshot_average():
