@@ -41,7 +41,6 @@ from .states import (
 )
 from .schemes import (
     BasisDistribution,
-    GroupingReport,
     MeasurementPlan,
     derandomization_cost,
     draw_bases,

@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from .errors import CoverageError, DegenerateObservable, PaulimeterError
-from .estimators import estimate, estimate_derandomized
+from .estimators import estimate
 from .experiments import (
     ExperimentSpec,
     build_plan,
@@ -118,7 +118,6 @@ def plan_cmd(scheme, hamiltonian, ns, out):
     """Build a measurement plan for a Hamiltonian's Pauli terms."""
     o = load_hamiltonian(hamiltonian)
     offset, o_work = split_identity(o)
-    o_work.require_nonempty()
     plan = build_plan(scheme, o_work, o.n, ns)
     if plan.scheme == "derand":
         detail = f"{len(plan.fixed_bases)} settings"
@@ -159,7 +158,6 @@ def sample_cmd(scheme, hamiltonian, plan_path, ns, nr, seed, fidelity, qubits, o
     elif scheme is not None and hamiltonian is not None:
         o = load_hamiltonian(hamiltonian)
         _, o_work = split_identity(o)
-        o_work.require_nonempty()
         plan = build_plan(scheme, o_work, o.n, ns)
     else:
         raise ValueError("give either --plan, or --scheme with --hamiltonian "
@@ -184,17 +182,13 @@ def estimate_cmd(records_path, hamiltonian, scheme, plan_path, ns, out):
     records = parse_records(records_path)
     o = load_hamiltonian(hamiltonian)
     offset, o_work = split_identity(o)
-    o_work.require_nonempty()
     if plan_path is not None:
         plan = read_plan(plan_path)
     else:
         if scheme is None:
             raise ValueError("give either --plan or --scheme")
         plan = build_plan(scheme, o_work, o.n, ns)
-    if plan.scheme == "derand":
-        report = estimate_derandomized(records, plan, o_work)
-    else:
-        report = estimate(records, plan, o_work)
+    report = estimate(records, plan, o_work)
     value = report.value + offset
     click.echo(f"value = {value!r}")
     if report.epsilon0 > 0:

@@ -194,8 +194,8 @@ def per_shot_estimates(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauli
 
 def _shot_values(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
     """o_hat per row and the hit counts s_l, in one pass over the kernel."""
-    if not plan.is_randomized:
-        raise PlanMismatch("per-shot estimation applies to randomized plans; use estimate_derandomized")
+    if plan.scheme == "derand":
+        raise PlanMismatch("per-shot estimation applies to randomized plans")
     values = np.zeros(len(batch))
     s_l = np.zeros(len(o), dtype=np.int64)
     for l, (coeff, (rows, mu, f)) in enumerate(zip(o.coeffs, _terms(batch, plan, o))):
@@ -231,18 +231,22 @@ def estimate(
     aggregator: str = "mean",
     batches: int = 10,
 ) -> EstimateReport:
-    """Mean of o_hat over all shots under a randomized plan.
+    """Estimate of Tr(O rho) under any plan: the mean of o_hat over all shots
+    for a randomized plan, :func:`estimate_derandomized` for a derandomized one.
 
     A row with reps=r contributes as r unit shots.  ``aggregator`` may be
     "mean" (default) or "medianmeans", which splits the rows into
-    ``batches`` consecutive batches and takes the median of the batch means.
-    Terms the dataset never hit are reported through s_l and epsilon0; their
-    zero contributions stay in the mean, which is what keeps it unbiased.
+    ``batches`` consecutive batches and takes the median of the batch means;
+    it needs a randomized plan (PlanMismatch otherwise).  Terms the dataset
+    never hit are reported through s_l and epsilon0; their zero
+    contributions stay in the mean, which is what keeps it unbiased.
     """
     if aggregator not in ("mean", "medianmeans"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
     if aggregator == "medianmeans" and batches < 1:
         raise ValueError("batches must be >= 1")
+    if plan.scheme == "derand" and aggregator == "mean":
+        return estimate_derandomized(batch, plan, o)
     values, s_l = _shot_values(batch, plan, o)
     weighted = values * batch.reps
     if aggregator == "mean":

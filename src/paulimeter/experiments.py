@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .estimators import ShotBatch, estimate, estimate_derandomized, per_term_expectations
+from .estimators import ShotBatch, estimate, per_term_expectations
 from .paulis import PauliString, WeightedPauliSum, square
 from .schemes import (
     SCHEME_NAMES,
@@ -110,7 +110,8 @@ def default_observable_pool(n: int = 4, count: int = DEFAULT_POOL_SIZE,
 
 def split_identity(o: WeightedPauliSum) -> tuple[float, WeightedPauliSum]:
     """Constant offset and the identity-free remainder; planners reject
-    identity terms, so runners estimate the remainder and add the offset."""
+    identity terms, so runners estimate the remainder and add the offset.
+    Raises DegenerateObservable when no remainder is left."""
     offset = 0.0
     rest = []
     for coeff, pauli in o:
@@ -118,7 +119,9 @@ def split_identity(o: WeightedPauliSum) -> tuple[float, WeightedPauliSum]:
             offset += coeff
         else:
             rest.append((coeff, pauli))
-    return offset, WeightedPauliSum(o.n, tuple(rest))
+    rest = WeightedPauliSum(o.n, tuple(rest))
+    rest.require_nonempty()
+    return offset, rest
 
 
 def build_plan(scheme: str, o: WeightedPauliSum, n: int, ns: int) -> MeasurementPlan:
@@ -126,7 +129,7 @@ def build_plan(scheme: str, o: WeightedPauliSum, n: int, ns: int) -> Measurement
     if scheme == "l1":
         return plan_l1(o)
     if scheme == "ldf":
-        return plan_ldf(o)[0]
+        return plan_ldf(o)
     if scheme == "cs":
         return plan_uniform_cs(n)
     if scheme == "lbcs":
@@ -158,20 +161,30 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 def _run_cells(worker, cells, jobs: int):
     if jobs <= 1 or len(cells) <= 1:
         return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(worker, cells))
 
 
-def _obs_cell(args):
-    rho, plan, pool_sum, exact_vals, scheme, ns, nr, rep, master = args
+def _estimate_cell(args):
+    rho, plan, o, ns, nr, rep, master, task = args
     ss = np.random.SeedSequence(master, spawn_key=(
-        _TASK_CODE["observables"], SCHEME_NAMES.index(scheme), ns, rep))
+        _TASK_CODE[task], SCHEME_NAMES.index(plan.scheme), ns, rep))
     records = _cell_records(rho, plan, ns, nr, ss)
-    vals, s_l = per_term_expectations(records, plan, pool_sum)
-    errs = np.abs(vals - exact_vals)
-    unhit = s_l == 0
-    return (scheme, ns, rep, float(np.max(errs)), float(np.mean(errs)), int(unhit.sum()),
-            math.fsum(abs(c) for c, u in zip(pool_sum.coeffs, unhit) if u))
+    if task == "observables":
+        return per_term_expectations(records, plan, o)
+    return estimate(records, plan, o)
+
+
+def _estimate_sweep(spec: ExperimentSpec, o: WeightedPauliSum, rho: DensityMatrix, jobs: int):
+    """[((scheme, N_s, repetition), cell result), ...] for every cell of an
+    estimation task, in key order.  The sort reads the key alone: results
+    may be arrays, and a repeated scheme repeats keys (with equal results)."""
+    plans = {(s, ns): build_plan(s, o, o.n, ns) for s in spec.schemes for ns in spec.ns_grid}
+    keys = [(s, ns, rep) for s in spec.schemes for ns in spec.ns_grid
+            for rep in range(spec.repetitions)]
+    cells = [(rho, plans[(s, ns)], o, ns, spec.effective_nr, rep, spec.seed, spec.task)
+             for s, ns, rep in keys]
+    return sorted(zip(keys, _run_cells(_estimate_cell, cells, jobs)), key=lambda kr: kr[0])
 
 
 def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
@@ -190,29 +203,17 @@ def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult
     rho = noisy_ghz(n, spec.noise)
     exact_vals = np.array([exact_expectation(rho, WeightedPauliSum(n, ((1.0, p),)))
                            for p in pool])
-    plans = {(s, ns): build_plan(s, pool_sum, n, ns)
-             for s in spec.schemes for ns in spec.ns_grid}
-    cells = [(rho, plans[(s, ns)], pool_sum, exact_vals, s, ns, spec.effective_nr, rep, spec.seed)
-             for s in spec.schemes for ns in spec.ns_grid
-             for rep in range(spec.repetitions)]
-    results = _run_cells(_obs_cell, cells, jobs)
-    rows = sorted((r[0], r[1], r[2], r[3], r[4]) for r in results)
-    notes = tuple(f"{r[0]} N_s={r[1]} repetition={r[2]}: {r[5]} of {len(pool)} "
-                  f"observables never hit, never-hit weight epsilon0={r[6]!r}"
-                  for r in sorted(results) if r[5] > 0)
-    return RunResult(_csv(("scheme", "N_s", "repetition", "max_abs_error", "mean_abs_error"), rows), notes)
-
-
-def _energy_cell(args):
-    rho, plan, o_work, offset, exact, scheme, ns, nr, rep, master, task = args
-    ss = np.random.SeedSequence(master, spawn_key=(
-        _TASK_CODE[task], SCHEME_NAMES.index(scheme), ns, rep))
-    records = _cell_records(rho, plan, ns, nr, ss)
-    if plan.scheme == "derand":
-        report = estimate_derandomized(records, plan, o_work)
-    else:
-        report = estimate(records, plan, o_work)
-    return (scheme, ns, rep, abs(report.value + offset - exact), report.epsilon0)
+    rows, notes = [], []
+    for (s, ns, rep), (vals, s_l) in _estimate_sweep(spec, pool_sum, rho, jobs):
+        errs = np.abs(vals - exact_vals)
+        rows.append((s, ns, rep, float(np.max(errs)), float(np.mean(errs))))
+        unhit = s_l == 0
+        if unhit.any():
+            eps0 = math.fsum(abs(c) for c, u in zip(pool_sum.coeffs, unhit) if u)
+            notes.append(f"{s} N_s={ns} repetition={rep}: {int(unhit.sum())} of {len(pool)} "
+                         f"observables never hit, never-hit weight epsilon0={eps0!r}")
+    return RunResult(_csv(("scheme", "N_s", "repetition", "max_abs_error", "mean_abs_error"), rows),
+                     tuple(notes))
 
 
 def run_energy_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
@@ -221,20 +222,12 @@ def run_energy_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:
         raise EmptyInput("energy experiment needs a Hamiltonian")
     o_full = square(spec.hamiltonian) if spec.task == "moment2" else spec.hamiltonian
     offset, o_work = split_identity(o_full)
-    o_work.require_nonempty()
-    n = o_full.n
-    rho = noisy_ghz(n, spec.noise)
+    rho = noisy_ghz(o_full.n, spec.noise)
     exact = exact_expectation(rho, o_full)
-    plans = {(s, ns): build_plan(s, o_work, n, ns)
-             for s in spec.schemes for ns in spec.ns_grid}
-    cells = [(rho, plans[(s, ns)], o_work, offset, exact, s, ns, spec.effective_nr,
-              rep, spec.seed, spec.task)
-             for s in spec.schemes for ns in spec.ns_grid
-             for rep in range(spec.repetitions)]
-    results = _run_cells(_energy_cell, cells, jobs)
-    rows = sorted((r[0], r[1], r[2], r[3]) for r in results)
-    notes = tuple(f"{r[0]} N_s={r[1]} repetition={r[2]}: uncovered weight epsilon0={r[4]!r}"
-                  for r in sorted(results) if r[4] > 0)
+    results = _estimate_sweep(spec, o_work, rho, jobs)
+    rows = [(s, ns, rep, abs(r.value + offset - exact)) for (s, ns, rep), r in results]
+    notes = tuple(f"{s} N_s={ns} repetition={rep}: uncovered weight epsilon0={r.epsilon0!r}"
+                  for (s, ns, rep), r in results if r.epsilon0 > 0)
     return RunResult(_csv(("scheme", "N_s", "repetition", "abs_error"), rows), notes)
 
 

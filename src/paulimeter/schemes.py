@@ -113,17 +113,6 @@ class MeasurementPlan:
         letters.setflags(write=False)
         object.__setattr__(self, "letters", letters)
 
-    @property
-    def is_randomized(self) -> bool:
-        return self.scheme != "derand"
-
-
-@dataclass(frozen=True)
-class GroupingReport:
-    group_count: int
-    weights: tuple[float, ...]  # per-group l1 weight ||e_j||_1
-    bases: tuple[PauliString, ...]
-
 
 def plan_l1(o: WeightedPauliSum) -> MeasurementPlan:
     """Importance sampling: draw term l with probability |alpha_l|/||alpha||_1.
@@ -197,7 +186,7 @@ def _fill_group_basis(letters: np.ndarray, members: list[int]) -> PauliString:
     return PauliString.from_codes(codes)
 
 
-def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> tuple[MeasurementPlan, GroupingReport]:
+def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> MeasurementPlan:
     """Largest-degree-first grouping of qubit-wise compatible terms.
 
     Builds the incompatibility graph over terms, colors vertices greedily in
@@ -205,7 +194,8 @@ def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> tuple[Measur
     the lowest class with no incompatible member), and turns each color class
     into a jointly measured group.  Group probabilities are proportional to
     the group's total |alpha| weight by default, or uniform over groups with
-    ``probabilities="uniform"``.
+    ``probabilities="uniform"``.  Entry j of the plan is group j's basis and
+    measures the terms in ``members[j]``.
     """
     if probabilities not in ("weight", "uniform"):
         raise ValueError(f"unknown probability rule {probabilities!r}")
@@ -233,15 +223,13 @@ def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> tuple[Measur
     else:
         probs = [1.0 / len(groups)] * len(groups)
     dist = BasisDistribution("explicit", explicit=tuple(zip(bases, probs)))
-    plan = MeasurementPlan(
+    return MeasurementPlan(
         scheme="ldf",
         n=o.n,
         terms=o.paulis,
         distribution=dist,
         members=tuple(tuple(sorted(g)) for g in groups),
     )
-    report = GroupingReport(len(groups), tuple(weights), tuple(bases))
-    return plan, report
 
 
 def plan_uniform_cs(n: int) -> MeasurementPlan:

@@ -90,7 +90,7 @@ def test_criterion_1_estimators_unbiased_under_enumeration():
         rho = random_mixed_state(n, rng)
         o = random_observable(rng, n)
         exact = exact_expectation(rho, o)
-        for plan in (plan_l1(o), plan_ldf(o)[0], plan_uniform_cs(n), plan_lbcs(o)):
+        for plan in (plan_l1(o), plan_ldf(o), plan_uniform_cs(n), plan_lbcs(o)):
             mean, _ = enumerate_moments(plan, o, rho)
             worst = max(worst, abs(mean - exact))
             checks += 1
@@ -321,10 +321,10 @@ def test_criterion_8_variance_calculators():
         ("l1/importance", plan_l1(OBS_A), OBS_A, RHO_A, variance_l1(OBS_A, RHO_A)),
         (
             "ldf/grouped",
-            plan_ldf(OBS_G)[0],
+            plan_ldf(OBS_G),
             OBS_G,
             RHO_A,
-            variance_grouping(plan_ldf(OBS_G)[0], OBS_G, RHO_A),
+            variance_grouping(plan_ldf(OBS_G), OBS_G, RHO_A),
         ),
         (
             "cs/uniform",
@@ -342,10 +342,10 @@ def test_criterion_8_variance_calculators():
         ),
         (
             "ldf/two-group",
-            plan_ldf(OBS_B)[0],
+            plan_ldf(OBS_B),
             OBS_B,
             RHO_B,
-            variance_grouping(plan_ldf(OBS_B)[0], OBS_B, RHO_B),
+            variance_grouping(plan_ldf(OBS_B), OBS_B, RHO_B),
         ),
     ]
     worst_z = 0.0
@@ -358,7 +358,7 @@ def test_criterion_8_variance_calculators():
     dev_l1 = abs(
         variance_generic(plan_l1(OBS_A), OBS_A, RHO_A) - variance_l1(OBS_A, RHO_A)
     )
-    ldf_plan = plan_ldf(OBS_B)[0]
+    ldf_plan = plan_ldf(OBS_B)
     dev_grp = abs(
         variance_generic(ldf_plan, OBS_B, RHO_B)
         - variance_grouping(ldf_plan, OBS_B, RHO_B)

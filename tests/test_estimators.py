@@ -102,7 +102,7 @@ def test_shot_batch_is_a_read_only_copy():
     "plan_factory",
     [
         lambda o: plan_l1(o),
-        lambda o: plan_ldf(o)[0],
+        lambda o: plan_ldf(o),
         lambda o: plan_uniform_cs(o.n),
         lambda o: plan_lbcs(o),
     ],
@@ -127,7 +127,7 @@ def test_variance_grouping_matches_enumeration():
     o = WeightedPauliSum(
         2, [(1.0, P("ZZ")), (0.5, P("ZI")), (0.25, P("IZ")), (0.25, P("XX"))]
     )
-    plan, _ = plan_ldf(o)
+    plan = plan_ldf(o)
     _, var = enumerate_moments(plan, o, RHO_A)
     assert var == pytest.approx(variance_grouping(plan, o, RHO_A), abs=1e-10)
 
@@ -153,7 +153,7 @@ def test_variance_generic_reproduces_l1():
 
 
 def test_variance_generic_reproduces_grouping():
-    plan, _ = plan_ldf(OBS_B)
+    plan = plan_ldf(OBS_B)
     assert variance_generic(plan, OBS_B, RHO_B) == pytest.approx(
         variance_grouping(plan, OBS_B, RHO_B), abs=1e-12
     )
@@ -197,7 +197,7 @@ def test_variance_error_paths():
     with pytest.raises(CoverageError):
         variance_generic(small, OBS_B, RHO_B)
     with pytest.raises(CoverageError):
-        variance_grouping(plan_ldf(WeightedPauliSum(2, [(0.8, P("ZZ"))]))[0], OBS_B, RHO_B)
+        variance_grouping(plan_ldf(WeightedPauliSum(2, [(0.8, P("ZZ"))])), OBS_B, RHO_B)
     with pytest.raises(DimensionMismatch):
         variance_l1(OBS_A, random_mixed_state(3, np.random.default_rng(1)))
 
@@ -281,8 +281,9 @@ def test_alignment_and_kind_errors():
     if str(plan.fixed_bases[0]) != str(plan.fixed_bases[1]):
         with pytest.raises(ForeignRecord):
             estimate_derandomized(shuffled, plan, OBS_B)
+    assert estimate(records, plan, OBS_B) == estimate_derandomized(records, plan, OBS_B)
     with pytest.raises(PlanMismatch):
-        estimate(records, plan, OBS_B)
+        estimate(records, plan, OBS_B, aggregator="medianmeans")
     rand_plan = plan_l1(OBS_B)
     rand_records = sample_records(rand_plan, rho, 10, seed=1)
     with pytest.raises(PlanMismatch):
@@ -311,7 +312,7 @@ def test_foreign_and_empty_records():
 
 
 def test_per_term_expectations_ghz_sharp():
-    plan, _ = plan_ldf(OBS_B)
+    plan = plan_ldf(OBS_B)
     records = sample_records(plan, ghz(2), 600, seed=2)
     vals, s_l = per_term_expectations(records, plan, OBS_B)
     # stabilizer outcomes are +1 deterministically; inverse-probability

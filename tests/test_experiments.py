@@ -14,7 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import paulimeter
+from paulimeter import experiments
 from paulimeter.cli import main
+from paulimeter.errors import DegenerateObservable
 from paulimeter.estimators import estimate
 from paulimeter.experiments import (
     ExperimentSpec,
@@ -63,6 +65,8 @@ def test_split_identity():
     offset2, rest2 = split_identity(rest)
     assert offset2 == 0.0
     assert len(rest2) == 1
+    with pytest.raises(DegenerateObservable):
+        split_identity(WeightedPauliSum(2, [(0.5, P("II"))]))
 
 
 def test_experiment_spec_validation():
@@ -350,6 +354,30 @@ def test_cli_bench_rerun_and_parallel_identical(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_process_pool_is_capped_at_the_cell_count(monkeypatch):
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, cells):
+            return map(worker, cells)
+
+    spec = ExperimentSpec(task="observables", schemes=("cs",), ns_grid=(20,), repetitions=2,
+                          seed=4, observables=default_observable_pool(3, count=6))
+    serial = run_observables_experiment(spec)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    assert run_observables_experiment(spec, jobs=1000) == serial
+    assert widths == [2]
+
+
 def test_cli_bench_certify_runs(tmp_path):
     out = tmp_path / "cert.csv"
     result = run_cli(
@@ -528,11 +556,12 @@ def test_observables_notes_report_count_and_weight_separately():
 @pytest.fixture(scope="module")
 def error_inputs(tmp_path_factory):
     """The input files the error-path cases name: a sum with no terms, a
-    term of the wrong size, an empty record file, 11-qubit snapshots and one
-    corrupted plan per MALFORMED_PLANS case."""
+    sum of identity terms only, a term of the wrong size, an empty record
+    file, 11-qubit snapshots and one corrupted plan per MALFORMED_PLANS case."""
     tmp_path = tmp_path_factory.mktemp("error-inputs")
     (tmp_path / "empty.ham").write_text("n 2\n")
     (tmp_path / "bad.ham").write_text("n 2\n0.5 XYZ\n")
+    (tmp_path / "identity.ham").write_text("n 2\n0.5 II\n")
     (tmp_path / "empty.rec").write_text("# no shots\n")
     write_records(str(tmp_path / "wide.rec"), ShadowSet(11, np.ones((3, 11)), np.ones((3, 11))).records())
     for case in MALFORMED_PLANS:
@@ -563,6 +592,11 @@ ERROR_PATHS = {
     "plan-bad-term": "plan --scheme l1 --hamiltonian {tmp}/bad.ham",
     "plan-unknown-builtin": "plan --scheme l1 --hamiltonian builtin:nothing",
     "plan-no-terms": "plan --scheme l1 --hamiltonian {tmp}/empty.ham",
+    "plan-identity-only": "plan --scheme l1 --hamiltonian {tmp}/identity.ham",
+    "sample-identity-only": "sample --scheme ldf --hamiltonian {tmp}/identity.ham --out {tmp}/r.rec",
+    "estimate-identity-only": "estimate --records {tmp}/wide.rec --hamiltonian {tmp}/identity.ham "
+                              "--scheme l1",
+    "bench-energy-identity-only": "bench energy --hamiltonian {tmp}/identity.ham --reps 1",
     "plan-derand-ns-0": "plan --scheme derand --hamiltonian builtin:lattice4 --ns 0",
     "estimate-missing-records": "estimate --records {tmp}/none.rec --hamiltonian builtin:lattice4",
     "estimate-empty-records": "estimate --records {tmp}/empty.rec --hamiltonian builtin:lattice4 --scheme cs",
@@ -582,6 +616,13 @@ def test_cli_error_paths_end_in_one_line(error_inputs, args):
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ")
     assert "Traceback" not in result.output + result.stderr
+
+
+def test_cli_identity_only_observables_exit_3(error_inputs):
+    for name in ("plan", "sample", "estimate", "bench-energy"):
+        result = run_cli(ERROR_PATHS[f"{name}-identity-only"].format(tmp=error_inputs).split())
+        assert result.exit_code == 3
+        assert result.stderr == "error: observable has no non-identity content\n"
 
 
 # sha256 of seeded CLI outputs recorded at commit d0d9cef: plan JSON and
@@ -620,6 +661,60 @@ def test_seeded_cli_outputs_match_pinned_digests(tmp_path):
              "--out", str(snaps)])
     got["shadows"] = digest(snaps)
     assert got == PINNED_DIGESTS
+
+
+# sha256 of seeded estimation outputs recorded at commit 944fad6: `estimate
+# --plan` stdout and CSV on the records the test above writes, and the CSV
+# and stderr of three estimation sweeps (a derandomized never-hit note and a
+# repeated scheme among them).
+PINNED_ESTIMATE_DIGESTS = {
+    "estimate l1": ("825d349fa67a898fa376e551e1e3a5e1713938914ee35a8f412f0fb5b9873438",
+                    "568bc06cb7ef57c28deda3bed8fc65c8b40700585a653e37412de992a9786f15"),
+    "estimate ldf": ("58f6018ae5ede97e1710d2a4cf65383750baa049b0234f4e56036caf405f82cd",
+                     "902544d78c0f99dcd5c6f592c793e397e4c8e9b654661610562b8f12bca03d4b"),
+    "estimate cs": ("ed4be0e6ce3d787d0d0c29ba3dcc30a83fbb2b130289b1ff0daa10a9e4ab5ae8",
+                    "392fa0364604671d5257aa85c01720d0b05a32909072eff85f87fa294a49bb2e"),
+    "estimate lbcs": ("814d033daddd64bc6b9b33ea70e90a31b63e5e137d8624a89df58b728195947c",
+                      "b46ed09318a70d95342803c4dc93deddd88e3b33df73993fef10a6a4c873bfbe"),
+    "estimate derand": ("df06b0490701addf6cc1f054b0364ed6587999026a955820f6c9b25707864af8",
+                        "216003539987427aaaaf5ef34d83daf29df5c9e69609c6a7d9517a33ecf4bb8c"),
+    "bench observables": ("8cb7dcab5b772e1cada4681055240b5bb37202e16852743044ae405cf3128b8f",
+                          "7a9a135e21fc7c1a041012c4bb96e6feb6b7c11bde084519fd3552dd1197379b"),
+    "bench energy": ("48136944ee98453ed1cc8a25edc801a866e1418e5882eed27e54482281ee88b3",
+                     "f173f2dd6f1c97a87e7299c3fda209b702eb0706a2ab5dd44450c7f7566ae62d"),
+    "bench moment2": ("8e05b230fb9885429de8376b886f4c529492d451dc4fc19d606a79697c3d45df",
+                      "fc0c5adf420b55dce89ffd5a4fa002d8f0563bd417dab0326d54794112624888"),
+}
+
+ESTIMATE_SWEEPS = {
+    "bench observables": "bench observables --scheme l1,cs,derand,cs --ns 1,40 --reps 3 --seed 3",
+    "bench energy": "bench energy --hamiltonian builtin:lattice4 --scheme cs,derand,cs "
+                    "--fidelity 0.9 --ns 5,40 --reps 3 --seed 3",
+    "bench moment2": "bench moment2 --hamiltonian builtin:cluster4 --ns 5,40 --reps 3 --seed 3",
+}
+
+
+def test_seeded_estimates_match_pinned_digests(tmp_path):
+    def digest(data):
+        return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+    got = {}
+    for scheme in ("l1", "ldf", "cs", "lbcs", "derand"):
+        plan, rec, out = (tmp_path / f"{scheme}.{ext}" for ext in ("json", "rec", "csv"))
+        run_cli(["plan", "--scheme", scheme, "--hamiltonian", "builtin:lattice4", "--ns", "30",
+                 "--out", str(plan)])
+        run_cli(["sample", "--plan", str(plan), "--ns", "30", "--nr", "2", "--seed", "7",
+                 "--fidelity", "0.9", "--out", str(rec)])
+        result = run_cli(["estimate", "--records", str(rec), "--hamiltonian", "builtin:lattice4",
+                          "--plan", str(plan), "--out", str(out)])
+        assert result.exit_code == 0
+        got[f"estimate {scheme}"] = (digest(result.stdout), digest(out.read_bytes()))
+    for name, args in ESTIMATE_SWEEPS.items():
+        out = tmp_path / "sweep.csv"
+        result = run_cli(args.split() + ["--out", str(out)])
+        assert result.exit_code == 0
+        got[name] = (digest(out.read_bytes()), digest(result.stderr))
+    assert got == PINNED_ESTIMATE_DIGESTS
 
 
 # sha256 of seeded certificate CSVs recorded at commit b3953b4: `certify

@@ -214,7 +214,7 @@ def plans_for_round_trip():
     )
     return [
         plan_l1(o),
-        plan_ldf(o)[0],
+        plan_ldf(o),
         plan_uniform_cs(2),
         plan_lbcs(o),
         plan_derandomized(o, 5),
@@ -277,7 +277,7 @@ def observables(draw):
 @settings(max_examples=40, deadline=None)
 @given(observables(), st.sampled_from(("l1", "ldf", "cs", "lbcs", "derand")), st.integers(1, 6))
 def test_plan_round_trip_property(o, scheme, ns):
-    plan = {"l1": lambda: plan_l1(o), "ldf": lambda: plan_ldf(o)[0],
+    plan = {"l1": lambda: plan_l1(o), "ldf": lambda: plan_ldf(o),
             "cs": lambda: plan_uniform_cs(o.n), "lbcs": lambda: plan_lbcs(o),
             "derand": lambda: plan_derandomized(o, ns)}[scheme]()
     with tempfile.TemporaryDirectory() as tmp:

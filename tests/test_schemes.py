@@ -64,15 +64,15 @@ def test_plan_ldf_worked_example():
     o = WeightedPauliSum(
         2, [(1.0, P("ZZ")), (0.5, P("ZI")), (0.25, P("IZ")), (0.25, P("XX"))]
     )
-    plan, report = plan_ldf(o)
+    plan = plan_ldf(o)
     assert plan.scheme == "ldf"
-    assert report.group_count == 2
+    assert len(plan.members) == 2
     # XX has the highest incompatibility degree so it seeds the first group
     assert plan.members == ((3,), (0, 1, 2))
-    assert [str(b) for b in report.bases] == ["XX", "ZZ"]
+    assert [str(b) for b, _ in plan.distribution.explicit] == ["XX", "ZZ"]
     probs = [p for _, p in plan.distribution.explicit]
     assert probs == pytest.approx([0.25 / 2.0, 1.75 / 2.0])
-    uniform, _ = plan_ldf(o, probabilities="uniform")
+    uniform = plan_ldf(o, probabilities="uniform")
     assert [p for _, p in uniform.distribution.explicit] == pytest.approx([0.5, 0.5])
     with pytest.raises(ValueError):
         plan_ldf(o, probabilities="other")
@@ -80,22 +80,22 @@ def test_plan_ldf_worked_example():
 
 def test_plan_ldf_single_group_when_all_compatible():
     o = WeightedPauliSum(2, [(1.0, P("ZI")), (0.5, P("IZ")), (0.25, P("ZZ"))])
-    plan, report = plan_ldf(o)
-    assert report.group_count == 1
-    assert str(report.bases[0]) == "ZZ"
+    plan = plan_ldf(o)
+    assert len(plan.members) == 1
+    assert str(plan.distribution.explicit[0][0]) == "ZZ"
     assert plan.members == ((0, 1, 2),)
     assert [p for _, p in plan.distribution.explicit] == pytest.approx([1.0])
 
 
 def test_plan_ldf_partition_and_hit_invariants():
     lat = builtin_hamiltonian("lattice4")
-    plan, report = plan_ldf(lat)
+    plan = plan_ldf(lat)
     seen = sorted(i for grp in plan.members for i in grp)
     assert seen == list(range(len(lat)))
     for grp, (basis, _) in zip(plan.members, plan.distribution.explicit):
         for idx in grp:
             assert hits(basis, lat.paulis[idx])
-    assert report.group_count == len(plan.members) < len(lat)
+    assert len(plan.members) < len(lat)
 
 
 def test_plan_uniform_cs():
@@ -285,7 +285,7 @@ def test_draw_bases_rejects_an_empty_count():
 
 def letter_test_plans():
     o = WeightedPauliSum(3, [(0.5, P("ZZI")), (0.25, P("XIY")), (-0.25, P("IYY"))])
-    return [plan_l1(o), plan_ldf(o)[0], plan_uniform_cs(3), plan_lbcs(o), plan_derandomized(o, 4)]
+    return [plan_l1(o), plan_ldf(o), plan_uniform_cs(3), plan_lbcs(o), plan_derandomized(o, 4)]
 
 
 @pytest.mark.parametrize("plan", letter_test_plans(), ids=lambda p: p.scheme)
