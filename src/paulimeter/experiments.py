@@ -5,7 +5,11 @@ sampling schemes, energy (and squared-energy) error, and entanglement
 quantities per subsystem mask.  Every cell derives its randomness from
 ``np.random.SeedSequence(seed, spawn_key=...)``, so each CSV row is a pure
 function of (spec, seed) and parallel execution over cells produces output
-byte-identical to a serial run.
+byte-identical to a serial run.  A cell spawns two children: one generator
+draws its bases, and the other child is the parent of one bulk outcome
+stream in which setting k reads what ``default_rng`` gives its k-th spawned
+child (``states.sample_settings``).  Seeded bytes thus depend on numpy's
+SeedSequence and PCG64 stream algorithms.
 """
 
 import dataclasses
@@ -145,7 +149,7 @@ def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
     basis_ss, outcome_ss = ss.spawn(2)
     letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
     return ShotBatch(np.repeat(letters, nr, axis=0),
-                     sample_settings(rho, letters, nr, outcome_ss.spawn(ns)))
+                     sample_settings(rho, letters, nr, outcome_ss))
 
 
 def _fmt(v) -> str:

@@ -370,6 +370,12 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
     w = supp.sum(axis=1)
     future_base = 1.0 - gamma * (3.0 ** (-w.astype(float)))
 
+    # per site: the terms it supports, and their X, Y, Z match rows
+    sites = []
+    for i in range(n):
+        affected = np.flatnonzero(supp[:, i])
+        sites.append((affected, (o.letters[affected, i] == np.array([[1], [2], [3]])).astype(float)))
+
     c = np.ones(L)  # product over completed measurements
     hit_counts = np.zeros(L, dtype=np.int64)
     chosen = np.zeros((ns, n), dtype=np.int8)
@@ -377,15 +383,13 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
         cur = np.ones(L)  # match product over fixed sites of measurement j
         r = w.astype(float).copy()  # unfixed support sites remaining
         fut = future_base ** (ns - j - 1)
-        for i in range(n):
-            affected = supp[:, i]
-            if not np.any(affected):
+        for i, (affected, match) in enumerate(sites):
+            if not len(affected):
                 chosen[j, i] = 1  # letter is irrelevant; X by the tie rule
                 continue
             base = c[affected] * fut[affected]
             cur_a = cur[affected]
             pow_rest = 3.0 ** (-(r[affected] - 1.0))
-            match = (o.letters[affected, i] == np.array([[1], [2], [3]])).astype(float)  # X, Y, Z rows
             cost = np.sum(base * (1.0 - gamma * cur_a * match * pow_rest), axis=1)
             best = int(np.argmin(cost))  # the first minimum: X before Y before Z
             chosen[j, i] = best + 1

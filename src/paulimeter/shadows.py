@@ -137,7 +137,7 @@ def collect_shadows(rho: DensityMatrix, ns: int, seed) -> ShadowSet:
     if ns < 1:
         raise ValueError("ns must be >= 1")
     letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
-    bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed).spawn(ns))
+    bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed))
     return ShadowSet(rho.n, letters, 1 - 2 * bits.astype(np.int8),
                      seed_info=f"mode=pauli seed={seed} ns={ns}")
 

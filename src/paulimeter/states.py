@@ -14,9 +14,13 @@ per basis instead of the O(n 4^n) of rotating rho itself.  ``ghz`` and
 ``admix_white_noise`` carry their form (r = 1); any other state gets it
 from one eigendecomposition of ``mat`` on its first sample.
 ``sample_outcomes`` also keeps each basis's inverse-CDF table on the state,
-so repeated settings pay only the draw.  Measured bases travel as int8
-letter rows (1=X, 2=Y, 3=Z); ``sample_settings`` is the one loop over
-settings, and it builds a PauliString once per distinct row.
+so repeated settings pay only the lookup.  Measured bases travel as int8
+letter rows (1=X, 2=Y, 3=Z).  ``sample_settings`` draws the uniforms of all
+settings in one bulk pass: setting k reads the stream of
+``default_rng(parent.spawn(S)[k])``, replayed on arrays without building
+any generator, so seeded outcomes depend on numpy's SeedSequence and PCG64
+algorithms (fixed by NEP 19).  It then runs ``sample_outcomes`` once per
+distinct row.
 
 Sites are 0-based internally; :class:`SubsystemMask` speaks the 1-based
 labels used everywhere user-facing.
@@ -238,40 +242,154 @@ def born_distribution(rho: DensityMatrix, basis: PauliString) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_outcomes(rho: DensityMatrix, basis: PauliString, shots: int, seed) -> np.ndarray:
-    """i.i.d. Born-rule draws; returns a (shots, n) uint8 bit array.
+def sample_outcomes(rho: DensityMatrix, basis: PauliString, uniforms: np.ndarray) -> np.ndarray:
+    """Born-rule outcomes by inverse CDF over the full 2^n distribution, one
+    per uniform draw in [0, 1); returns a (len(uniforms), n) uint8 bit array.
 
-    Outcomes are drawn by inverse CDF over the full 2^n distribution, which
-    keeps repeated sampling cheap and exactly reproducible for a fixed
-    seed.  Each basis's CDF table is kept on the state, up to 2^20 entries
-    per state, so a repeated basis costs only the draw.
+    Each basis's CDF table is kept on the state, up to 2^20 entries per
+    state, so a repeated basis costs only the lookup.
     """
-    if shots < 1:
+    if len(uniforms) < 1:
         raise ValueError("shots must be >= 1")
     cdf = rho._cdfs.get(basis)
     if cdf is None:
         cdf = _frozen(np.cumsum(born_distribution(rho, basis)))
         if (len(rho._cdfs) + 1) * len(cdf) <= _CDF_MEMO_ENTRIES:
             rho._cdfs[basis] = cdf
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    draws = np.searchsorted(cdf, uniforms, side="right")
     draws = np.minimum(draws, len(cdf) - 1)
     n = rho.n
     shifts = n - 1 - np.arange(n)
     return ((draws[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int, seeds) -> np.ndarray:
+def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int,
+                    parent: np.random.SeedSequence) -> np.ndarray:
     """Settings measured in turn: row k of the int8 (S, n) letter array is
-    sampled ``shots`` times with ``seeds[k]``.  Returns the (S*shots, n)
-    uint8 bits, setting by setting.  One PauliString is built per distinct
-    row, and ``sample_outcomes`` runs once per setting in row order.
+    sampled ``shots`` times from the stream of ``parent.spawn(S)[k]``, that
+    is ``default_rng(parent.spawn(S)[k]).random(shots)``, though no child
+    is built (see :func:`_child_uniforms`).  Returns the (S*shots, n) uint8
+    bits, setting by setting.  ``sample_outcomes`` runs once per distinct
+    row, on all of that row's draws.
     """
-    rows, inverse = np.unique(letters, axis=0, return_inverse=True)
-    bases = [PauliString.from_codes(row) for row in rows]
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    uniforms = _child_uniforms(parent, len(letters), shots)
+    rows, inverse, counts = np.unique(letters, axis=0, return_inverse=True, return_counts=True)
     # the inverse's shape varies across numpy 2.0.x; ravel fixes it to (S,)
-    return np.concatenate([sample_outcomes(rho, bases[j], shots, seed)
-                           for j, seed in zip(inverse.ravel(), seeds, strict=True)])
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    bits = np.empty((len(letters), shots, rho.n), dtype=np.uint8)
+    for row, idx in zip(rows, groups):
+        outcomes = sample_outcomes(rho, PauliString.from_codes(row), uniforms[idx].ravel())
+        bits[idx] = outcomes.reshape(len(idx), shots, rho.n)
+    return bits.reshape(-1, rho.n)
+
+
+# numpy's SeedSequence (default pool of four uint32 words) and PCG64 constants
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# draws per block of the PCG64 replay: its uint64 temporaries stay in cache
+# (3x faster than one pass at 2M draws) and their memory stays bounded
+_BLOCK_DRAWS = 2 ** 14
+
+
+def _words(value) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a non-negative int."""
+    value = int(value)
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call steps the hash constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 arrays."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    mid = a1 * b0 + ((a0 * b0) >> 32)
+    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2 ** 64 - 1) for v in values], dtype=np.uint64))
+
+
+def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> np.ndarray:
+    """(count, shots) doubles, row k equal to
+    ``np.random.default_rng(parent.spawn(count)[k]).random(shots)``.
+
+    A vectorized replica of numpy's streams, which NEP 19 keeps fixed:
+    child k's SeedSequence pool differs from its siblings' only in the last
+    entropy word, k, so the hashing runs on uint32 lanes (held in uint64)
+    for that word alone; ``generate_state`` then gives PCG64's 128-bit seed
+    and increment.  The LCG state s -> M s + inc after seeding and t steps
+    is M^(t+1) seed + (1 + M + ... + M^(t+1)) inc, so every draw of every
+    child is two 128-bit products by constants, on 64-bit halves.  Output
+    is XSL-RR, and a double is (x >> 11) 2^-53.  The parent is not
+    advanced, so one that has spawned children already, or whose entropy
+    or pool size the replica does not model, is refused.
+    """
+    if not (isinstance(parent, np.random.SeedSequence) and parent.pool_size == _POOL
+            and parent.n_children_spawned == 0
+            and all(isinstance(v, (int, np.integer)) for v in (parent.entropy, *parent.spawn_key))):
+        raise ValueError("sampling needs a fresh SeedSequence with integer entropy and spawn "
+                         f"key and pool size {_POOL}, not {parent!r}")
+    # the child's entropy: run entropy zero-padded to the pool, spawn key, child index
+    entropy = _words(parent.entropy)
+    words = entropy + [0] * (_POOL - len(entropy)) + [w for k in parent.spawn_key for w in _words(k)]
+    words.append(np.arange(count, dtype=np.uint64)[:, None])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL]) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    powers, sums = [1], [0]
+    for _ in range(shots + 2):
+        sums.append((sums[-1] + powers[-1]) & _M128)
+        powers.append(powers[-1] * _PCG_MULT & _M128)
+    a_hi, a_lo = _limbs(powers[2:shots + 2])
+    g_hi, g_lo = _limbs(sums[3:shots + 3])
+    uniforms = np.empty((count, shots))
+    step = max(1, _BLOCK_DRAWS // shots)
+    for k in range(0, count, step):
+        s_hi, s_lo, i_hi, i_lo = (v[k:k + step] for v in (seed_hi, seed_lo, inc_hi, inc_lo))
+        lo_a, lo_g = s_lo * a_lo, i_lo * g_lo
+        lo = lo_a + lo_g
+        hi = (_mulhi(s_lo, a_lo) + s_lo * a_hi + s_hi * a_lo
+              + _mulhi(i_lo, g_lo) + i_lo * g_hi + i_hi * g_lo + (lo < lo_a))
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        uniforms[k:k + step] = (x >> 11) * 2.0 ** -53
+    return uniforms
 
 
 def partial_trace(rho: DensityMatrix, keep: SubsystemMask) -> np.ndarray:

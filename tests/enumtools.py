@@ -60,6 +60,7 @@ def sample_records(plan, rho, ns, seed, nr=1):
     ss = np.random.SeedSequence(seed)
     basis_ss, outcome_ss = ss.spawn(2)
     letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    outcomes = [sample_outcomes(rho, PauliString.from_codes(row), nr, child)
+    outcomes = [sample_outcomes(rho, PauliString.from_codes(row),
+                                np.random.default_rng(child).random(nr))
                 for child, row in zip(outcome_ss.spawn(ns), letters)]
     return ShotBatch(np.repeat(letters, nr, axis=0), np.concatenate(outcomes))

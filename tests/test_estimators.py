@@ -254,7 +254,8 @@ def sample_records_for_bases(rho, bases, nr, seed):
     """nr unit shots in each basis in turn, the k-th basis seeded seed + k."""
     from paulimeter.states import sample_outcomes
 
-    outcomes = [sample_outcomes(rho, basis, nr, seed + k) for k, basis in enumerate(bases)]
+    outcomes = [sample_outcomes(rho, basis, np.random.default_rng(seed + k).random(nr))
+                for k, basis in enumerate(bases)]
     return ShotBatch(np.repeat([b.codes() for b in bases], nr, axis=0), np.concatenate(outcomes))
 
 

@@ -604,6 +604,9 @@ ERROR_PATHS = {
     "ptmoments-eleven-qubits": "ptmoments --records {tmp}/wide.rec --mask 1 --order 3",
     "bench-pool-too-large": "bench observables --scheme cs --qubits 3 --reps 1",
     "bench-bad-grid": "bench observables --scheme cs --ns 1,x",
+    "sample-seed-negative": "sample --scheme cs --qubits 4 --ns 30 --seed -1 --out {tmp}/r.rec",
+    "shadows-seed-negative": "shadows --qubits 4 --ns 30 --seed -1 --out {tmp}/s.rec",
+    "sample-nr-0": "sample --scheme cs --qubits 4 --ns 30 --nr 0 --out {tmp}/r.rec",
     **{f"sample-plan-{case.id}": f"sample --plan {{tmp}}/{case.id}.json --ns 5 --out {{tmp}}/r.rec"
        for case in MALFORMED_PLANS},
 }
@@ -752,6 +755,26 @@ def test_seeded_mc_certificates_match_pinned_digest(tmp_path):
     run_cli(["certify", "--records", str(snaps), "--strategy", "mc:20000", "--seed", "3",
              "--out", str(cert)])
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == PINNED_MC_CERTIFY_DIGEST
+
+
+# sha256 of `sample` and `shadows` output at the seed 2^70 + 5, whose
+# entropy spans three 32-bit words, recorded at commit eba6757.
+WIDE_SEED = "1180591620717411303429"
+PINNED_WIDE_SEED_DIGESTS = {
+    "sample": "f7f74d18a49f2183fa720dbede8dfb1b9183272b5fd1902c496240a5e79a7736",
+    "shadows": "a295ab474cf1b3b4aa86ed04887d1aec367884d9f15da6aeca093b754f451a0c",
+}
+
+
+def test_wide_seed_outputs_match_pinned_digests(tmp_path):
+    rec, snaps = tmp_path / "r.rec", tmp_path / "s.rec"
+    assert run_cli(["sample", "--scheme", "cs", "--qubits", "4", "--ns", "30", "--nr", "3",
+                    "--seed", WIDE_SEED, "--out", str(rec)]).exit_code == 0
+    assert run_cli(["shadows", "--qubits", "4", "--ns", "30", "--seed", WIDE_SEED,
+                    "--out", str(snaps)]).exit_code == 0
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for name, path in (("sample", rec), ("shadows", snaps))}
+    assert got == PINNED_WIDE_SEED_DIGESTS
 
 
 def run_module_cli(args, cwd):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paulimeter.errors import DimensionMismatch, FeasibilityError
 from paulimeter.paulis import PauliString, WeightedPauliSum
@@ -27,8 +29,14 @@ from paulimeter.states import (
     sample_outcomes,
     sample_settings,
 )
+from paulimeter.states import _child_uniforms
 
 P = PauliString.from_text
+
+
+def uniforms(shots, seed):
+    """The draws a per-setting generator makes: default_rng(seed).random(shots)."""
+    return np.random.default_rng(seed).random(shots)
 
 
 def bits_to_index(bits):
@@ -165,7 +173,7 @@ def test_known_spectral_forms_reproduce_matrix(monkeypatch):
             floor, a = rho.spectral_form()
             assert a.shape == (dim, 1)
             np.testing.assert_allclose(floor * np.eye(dim) + a @ a.conj().T, rho.mat, atol=1e-14)
-            sample_outcomes(rho, PauliString.from_codes([2] * n), 3, 0)
+            sample_outcomes(rho, PauliString.from_codes([2] * n), uniforms(3, 0))
 
 
 def test_eigh_spectral_form_reproduces_matrix():
@@ -191,16 +199,16 @@ def test_memoized_sampling_matches_fresh_state():
     basis = P("XYZX")
     for make in (lambda: noisy_ghz(4, 0.3), lambda: DensityMatrix(4, mixed)):
         rho = make()
-        first = sample_outcomes(rho, basis, 500, 5)
-        again = sample_outcomes(rho, basis, 500, 5)
+        first = sample_outcomes(rho, basis, uniforms(500, 5))
+        again = sample_outcomes(rho, basis, uniforms(500, 5))
         np.testing.assert_array_equal(again, first)
-        np.testing.assert_array_equal(again, sample_outcomes(make(), basis, 500, 5))
+        np.testing.assert_array_equal(again, sample_outcomes(make(), basis, uniforms(500, 5)))
 
 
 def test_sampling_memo_is_capped_per_state():
     rho = ghz(8)
     for codes in itertools.islice(itertools.product((1, 2, 3), repeat=8), 4200):
-        sample_outcomes(rho, PauliString.from_codes(codes), 1, 0)
+        sample_outcomes(rho, PauliString.from_codes(codes), uniforms(1, 0))
     assert len(rho._cdfs) == 2 ** 20 // 2 ** 8
     assert len(ghz(8)._cdfs) == 0
 
@@ -208,7 +216,7 @@ def test_sampling_memo_is_capped_per_state():
 def test_born_distribution_is_fresh_and_writable():
     rho = noisy_ghz(3, 0.1)
     basis = P("XXZ")
-    sample_outcomes(rho, basis, 10, 0)
+    sample_outcomes(rho, basis, uniforms(10, 0))
     probs = born_distribution(rho, basis)
     assert probs.flags.writeable
     probs[:] = 0.0
@@ -218,8 +226,8 @@ def test_born_distribution_is_fresh_and_writable():
 def test_sampling_is_seeded_and_close_to_born():
     rho = ghz(4)
     basis = P("XZZX")
-    a = sample_outcomes(rho, basis, 2000, 11)
-    b = sample_outcomes(rho, basis, 2000, 11)
+    a = sample_outcomes(rho, basis, uniforms(2000, 11))
+    b = sample_outcomes(rho, basis, uniforms(2000, 11))
     np.testing.assert_array_equal(a, b)
     probs = born_distribution(rho, basis)
     counts = np.zeros(16)
@@ -233,7 +241,7 @@ def test_sampling_is_seeded_and_close_to_born():
 
 def test_sample_outcomes_rejects_bad_shots():
     with pytest.raises(ValueError):
-        sample_outcomes(ghz(2), P("ZZ"), 0, 1)
+        sample_outcomes(ghz(2), P("ZZ"), uniforms(0, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -243,19 +251,40 @@ def test_sample_settings_equals_the_per_setting_loop(n, shots):
     rho = random_mixed_state(n, rng)
     distinct = rng.integers(1, 4, size=(4, n), dtype=np.int8)
     letters = distinct[rng.integers(0, 4, size=12)]  # rows repeat
-    int_seeds = [int(s) for s in rng.integers(0, 2 ** 32, size=len(letters))]
-    for seeds in (int_seeds, np.random.SeedSequence(n).spawn(len(letters))):
-        loop = np.concatenate([sample_outcomes(rho, PauliString.from_codes(row), shots, seed)
-                               for row, seed in zip(letters, seeds)])
-        got = sample_settings(rho, letters, shots, seeds)
+    for entropy, key in ((n, ()), (2 ** 70 + n, (shots, 2 ** 33))):
+        children = np.random.SeedSequence(entropy, spawn_key=key).spawn(len(letters))
+        loop = np.concatenate([sample_outcomes(rho, PauliString.from_codes(row),
+                                               uniforms(shots, seed))
+                               for row, seed in zip(letters, children)])
+        got = sample_settings(rho, letters, shots, np.random.SeedSequence(entropy, spawn_key=key))
         assert got.dtype == np.uint8 and got.shape == (len(letters) * shots, n)
         np.testing.assert_array_equal(got, loop)
 
 
-def test_sample_settings_needs_one_seed_per_setting():
+@settings(max_examples=60, deadline=None)
+@given(entropy=st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64),
+                         st.integers(2 ** 64 + 1, 2 ** 160)),
+       key=st.lists(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 96)),
+                    max_size=6),
+       count=st.integers(1, 300), shots=st.integers(1, 7))
+@example(entropy=2 ** 70 + 5, key=[3], count=2500, shots=7)  # more than one block of draws
+def test_bulk_draws_are_the_spawned_children_streams(entropy, key, count, shots):
+    parent = np.random.SeedSequence(entropy, spawn_key=key)
+    want = np.array([uniforms(shots, child)
+                     for child in np.random.SeedSequence(entropy, spawn_key=key).spawn(count)])
+    got = _child_uniforms(parent, count, shots)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert parent.n_children_spawned == 0
+
+
+def test_sample_settings_refuses_a_parent_it_cannot_replay():
     letters = np.array([[3, 3], [1, 1]], dtype=np.int8)
-    with pytest.raises(ValueError):
-        sample_settings(ghz(2), letters, 1, [1])
+    spent = np.random.SeedSequence(1)
+    spent.spawn(1)
+    for parent in (spent, np.random.SeedSequence(1, pool_size=8), np.random.SeedSequence([1, 2]),
+                   [1, 2]):
+        with pytest.raises(ValueError):
+            sample_settings(ghz(2), letters, 1, parent)
 
 
 def test_fidelity_below_the_maximally_mixed_bound_is_named():
