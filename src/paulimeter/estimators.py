@@ -29,7 +29,7 @@ from .errors import (
     ForeignRecord,
     PlanMismatch,
 )
-from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, multiply
+from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, _row_keys, multiply
 from .schemes import BasisDistribution, MeasurementPlan
 from .states import DensityMatrix, exact_expectation
 
@@ -112,11 +112,6 @@ class EstimateReport:
     n_samples: int
     s_l: tuple[int, ...]
     epsilon0: float
-
-
-def _row_keys(letters: np.ndarray) -> np.ndarray:
-    """One integer per letter row (base-4 digits), for whole-basis lookups."""
-    return letters.astype(np.int64) @ (4 ** np.arange(letters.shape[1], dtype=np.int64))
 
 
 def _entry_of(o: WeightedPauliSum, plan: MeasurementPlan) -> np.ndarray:

@@ -1,8 +1,17 @@
 """File formats, built-in Hamiltonians, and plan serialization.
 
 Hamiltonian files are line-oriented: ``# comment`` lines, one ``n <int>``
-header, then ``<coefficient> <pauli>`` per line.  Record files carry one
-shot per line as ``<basis> <bits> [reps]``.  Plans serialize to JSON.
+header, then ``<coefficient> <pauli>`` per line.  Plans serialize to JSON.
+
+Record files carry one row per line as ``<basis> <bits> [reps]``: a basis
+of X, Y and Z letters, one 0/1 bit per basis letter, and an optional
+integer multiplicity (default 1, written only where it exceeds 1).  Tokens
+are separated by runs of the ASCII characters that ``str.isspace()``
+accepts: space, ``\t \n \v \f \r`` and ``\x1c``-``\x1f``.  Lines are
+numbered from 1 after universal-newline translation, so ``\r\n`` and a
+lone ``\r`` each end one line.  Blank lines and lines whose first token
+starts with ``#`` are skipped, and comment lines may hold any text.  Every
+other line is a record line and must be ASCII.
 """
 
 from __future__ import annotations
@@ -25,6 +34,12 @@ _LETTER_CODES[np.frombuffer(b"IXYZ", dtype=np.uint8)] = np.arange(4)
 
 def _fail(path: str, lineno: int, msg: str):
     raise FormatError(f"{path}:{lineno}: {msg}")
+
+
+def _separators(data: np.ndarray) -> np.ndarray:
+    """Mask of the ASCII bytes for which str.isspace() is true: \\t \\n \\v \\f
+    \\r (9-13), \\x1c-\\x1f (28-31) and space."""
+    return ((data >= 9) & (data <= 13)) | ((data >= 28) & (data <= 32))
 
 
 def parse_hamiltonian(path: str) -> WeightedPauliSum:
@@ -87,51 +102,67 @@ def write_hamiltonian(path: str, o: WeightedPauliSum, comment: str = "") -> None
 
 
 def parse_records(path: str) -> ShotBatch:
-    """Read a record file: '<basis> <bits> [reps]' per line."""
-    linenos, bases, bits, reps = [], [], [], []
+    """Read a record file (grammar in the module docstring) in whole-array
+    passes over its bytes; every FormatError names the first bad line."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) not in (2, 3):
-                _fail(path, lineno, "record lines are '<basis> <bits> [reps]'")
-            linenos.append(lineno)
-            bases.append(parts[0])
-            bits.append(parts[1])
-            try:
-                reps.append(int(parts[2]) if len(parts) == 3 else 1)
-            except ValueError:
-                _fail(path, lineno, f"bad reps {parts[2]!r}")
-            if not 1 <= reps[-1] < 1 << 63:
-                _fail(path, lineno, "reps must be >= 1 and below 2**63")
-    if not linenos:
+        raw = fh.read().encode()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # tokens start and end where the separator mask changes
+    edges = np.flatnonzero(np.diff(_separators(data), prepend=True, append=True))
+    starts, ends = edges[::2], edges[1::2]
+    newlines = np.flatnonzero(data == ord("\n"))
+    line = np.searchsorted(newlines, starts)
+    # the first token of each line, and the line's token count
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    count = np.diff(first, append=len(starts))
+    record = data[starts[first]] != ord("#")
+    first, count = first[record], count[record]
+    line = line[first]
+    linenos = line + 1
+    # lines holding a non-ASCII byte, ended by a line past the last one
+    wide = np.append(np.searchsorted(newlines, np.flatnonzero(data > 127)), len(newlines) + 1)
+    wide = wide[np.searchsorted(wide, line)] == line
+
+    def token(k) -> str:
+        return raw[starts[k]:ends[k]].decode()
+
+    bad_lines = np.flatnonzero(wide | (count < 2) | (count > 3))
+    stop = bad_lines[0] if len(bad_lines) else len(first)
+    reps = np.ones(len(first), dtype=np.int64)
+    for k in np.flatnonzero(count[:stop] == 3):
+        try:
+            value = int(token(first[k] + 2))
+        except ValueError:
+            _fail(path, linenos[k], f"bad reps {token(first[k] + 2)!r}")
+        if not 1 <= value < 1 << 63:
+            _fail(path, linenos[k], "reps must be >= 1 and below 2**63")
+        reps[k] = value
+    if len(bad_lines):
+        _fail(path, linenos[stop], "record lines must be ASCII" if wide[stop]
+              else "record lines are '<basis> <bits> [reps]'")
+    if not len(first):
         raise EmptyInput(f"{path}: no record lines")
-    n = len(bases[0])
+    n = int(ends[first[0]] - starts[first[0]])
 
     def first_bad(bad: np.ndarray, message) -> None:
         if bad.any():
-            k = int(np.argmax(bad))
+            k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
             _fail(path, linenos[k], message(k))
 
-    def chars(fields: list[str]) -> np.ndarray:
-        data = "".join(fields).encode("ascii", "replace")
-        return np.frombuffer(data, dtype=np.uint8).reshape(-1, n)
-
     def bad_bits(k: int) -> str:
-        return f"bits {bits[k]!r} must be {n} characters of 0/1"
+        return f"bits {token(first[k] + 1)!r} must be {n} characters of 0/1"
 
-    first_bad(np.array([len(b) for b in bases]) != n,
-              lambda k: f"basis {bases[k]} does not fit n={n}")
-    letters = _LETTER_CODES[chars(bases)]
-    first_bad(np.any(letters < 0, axis=1), lambda k: f"invalid Pauli letter in {bases[k]!r}")
-    first_bad(np.any(letters == 0, axis=1),
-              lambda k: f"record basis {bases[k]} contains identity letters")
-    first_bad(np.array([len(b) for b in bits]) != n, bad_bits)
-    bit_rows = chars(bits) - ord("0")
-    first_bad(np.any(bit_rows > 1, axis=1), bad_bits)
+    windows = np.lib.stride_tricks.sliding_window_view(data, n)
+    first_bad(ends[first] - starts[first] != n,
+              lambda k: f"basis {token(first[k])} does not fit n={n}")
+    letters = _LETTER_CODES[windows[starts[first]]]
+    first_bad(letters < 0, lambda k: f"invalid Pauli letter in {token(first[k])!r}")
+    first_bad(letters == 0, lambda k: f"record basis {token(first[k])} contains identity letters")
+    first_bad(ends[first + 1] - starts[first + 1] != n, bad_bits)
+    bits = windows[starts[first + 1]] - ord("0")
+    first_bad(bits > 1, bad_bits)
     try:
-        return ShotBatch(letters, bit_rows, reps)
+        return ShotBatch(letters, bits, reps)
     except ValueError as exc:
         _fail(path, linenos[0], str(exc))
 
@@ -139,19 +170,23 @@ def parse_records(path: str) -> ShotBatch:
 def write_records(path: str, records: ShotBatch) -> None:
     """Write '<basis> <bits>' lines, with the reps column only where reps > 1."""
     n = records.n
-    plural = records.reps > 1
-    digits = records.reps.astype(bytes)
-    digits = digits.view(np.uint8).reshape(len(records), digits.itemsize) * plural[:, None]
-    lines = np.zeros((len(records), 2 * n + 3 + digits.shape[1]), dtype=np.uint8)
+    plural = np.flatnonzero(records.reps > 1)
+    width = len(str(records.reps[plural].max())) + 1 if len(plural) else 0
+    lines = np.empty((len(records), 2 * n + 2 + width), dtype=np.uint8)
     lines[:, :n] = np.frombuffer(b"IXYZ", dtype=np.uint8)[records.letters]
     lines[:, n] = ord(" ")
     lines[:, n + 1 : 2 * n + 1] = records.bits + ord("0")
-    lines[:, 2 * n + 1] = ord(" ") * plural
-    lines[:, 2 * n + 2 : -1] = digits
     lines[:, -1] = ord("\n")
     data = lines.ravel()
+    if width:
+        # ' <digits>' on plural rows, zero bytes (dropped below) elsewhere
+        digits = records.reps[plural].astype(bytes)
+        lines[:, 2 * n + 1 : -1] = 0
+        lines[plural, 2 * n + 1] = ord(" ")
+        lines[plural, 2 * n + 2 : -1] = digits.view(np.uint8).reshape(len(plural), -1)[:, : width - 1]
+        data = data[data != 0]
     with open(path, "wb") as fh:
-        fh.write(data[data != 0].tobytes())
+        fh.write(data.tobytes())
 
 
 def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float = 0.25, h2: float = 0.25) -> WeightedPauliSum:

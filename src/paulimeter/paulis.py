@@ -153,6 +153,12 @@ def _recode_array(bx: np.ndarray, bz: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_keys(letters: np.ndarray) -> np.ndarray:
+    """One integer per letter row (base-4 digits, site 0 least significant),
+    for whole-basis lookups and grouping."""
+    return letters.astype(np.int64) @ (4 ** np.arange(letters.shape[1], dtype=np.int64))
+
+
 @dataclass(frozen=True, slots=True)
 class PhasedPauli:
     """A Pauli string with a fourth-root-of-unity phase (product closure)."""

@@ -28,12 +28,13 @@ labels used everywhere user-facing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FeasibilityError, InvalidBasis
-from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum
+from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, _row_keys
 
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -275,12 +276,12 @@ def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int,
     if shots < 1:
         raise ValueError("shots must be >= 1")
     uniforms = _child_uniforms(parent, len(letters), shots)
-    rows, inverse, counts = np.unique(letters, axis=0, return_inverse=True, return_counts=True)
-    # the inverse's shape varies across numpy 2.0.x; ravel fixes it to (S,)
-    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    keys = _row_keys(letters)
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if len(order) else ()
     bits = np.empty((len(letters), shots, rho.n), dtype=np.uint8)
-    for row, idx in zip(rows, groups):
-        outcomes = sample_outcomes(rho, PauliString.from_codes(row), uniforms[idx].ravel())
+    for idx in groups:
+        outcomes = sample_outcomes(rho, PauliString.from_codes(letters[idx[0]]), uniforms[idx].ravel())
         bits[idx] = outcomes.reshape(len(idx), shots, rho.n)
     return bits.reshape(-1, rho.n)
 
@@ -289,7 +290,7 @@ def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int,
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # draws per block of the PCG64 replay: its uint64 temporaries stay in cache
 # (3x faster than one pass at 2M draws) and their memory stays bounded
@@ -330,10 +331,35 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
 
 
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit ints as (high, low) uint64 arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & (2 ** 64 - 1) for v in values], dtype=np.uint64))
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) times the Python int c, mod 2^128, on uint64 halves."""
+    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _M64)
+    return _mulhi(lo, c_lo) + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(a_hi, a_lo) + (b_hi, b_lo) mod 2^128, on uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+# cached per `levels`: at most (_BLOCK_DRAWS + 2).bit_length() read-only tables
+@functools.cache
+def _lcg_constants(levels: int) -> tuple[np.ndarray, ...]:
+    """M^j and S_j = 1 + M + ... + M^(j-1) mod 2^128 for j < 2^levels, as
+    read-only (high, low) uint64 arrays, with M the PCG64 multiplier.
+    Built by doubling: for j = L + r, M^j = M^L M^r and S_j = S_L + M^L S_r."""
+    p_hi, p_lo, s_hi, s_lo = (np.array([v], dtype=np.uint64) for v in (0, 1, 0, 0))
+    power, total = _PCG_MULT, 1  # M^L and S_L for the current L
+    for _ in range(levels):
+        q_hi, q_lo = _mul128(p_hi, p_lo, power)
+        r_hi, r_lo = _add128(*_mul128(s_hi, s_lo, power), np.uint64(total >> 64),
+                             np.uint64(total & _M64))
+        p_hi, p_lo = np.concatenate((p_hi, q_hi)), np.concatenate((p_lo, q_lo))
+        s_hi, s_lo = np.concatenate((s_hi, r_hi)), np.concatenate((s_lo, r_lo))
+        total = (total + power * total) & _M128
+        power = power * power & _M128
+    return tuple(_frozen(a) for a in (p_hi, p_lo, s_hi, s_lo))
 
 
 def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> np.ndarray:
@@ -372,23 +398,31 @@ def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> n
     state = [hashmix(pool[i % _POOL]) for i in range(8)]
     seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
     inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    powers, sums = [1], [0]
-    for _ in range(shots + 2):
-        sums.append((sums[-1] + powers[-1]) & _M128)
-        powers.append(powers[-1] * _PCG_MULT & _M128)
-    a_hi, a_lo = _limbs(powers[2:shots + 2])
-    g_hi, g_lo = _limbs(sums[3:shots + 3])
+    # blocks of at most _BLOCK_DRAWS draws: `width` shots of `step` settings
+    width = min(shots, _BLOCK_DRAWS)
+    step = _BLOCK_DRAWS // width
+    pow_hi, pow_lo, sum_hi, sum_lo = _lcg_constants((width + 2).bit_length())
+    a_hi, a_lo = pow_hi[2:width + 2], pow_lo[2:width + 2]
+    g_hi, g_lo = sum_hi[3:width + 3], sum_lo[3:width + 3]
+    # draw t + r is draw r of a stream seeded M^t seed + M S_t inc, and that
+    # seed moves on by one block as b -> M^width b + M S_width inc
+    shift = int(pow_hi[width]) << 64 | int(pow_lo[width])
+    shift_inc = _PCG_MULT * (int(sum_hi[width]) << 64 | int(sum_lo[width])) & _M128
+    b_hi, b_lo = seed_hi, seed_lo
     uniforms = np.empty((count, shots))
-    step = max(1, _BLOCK_DRAWS // shots)
-    for k in range(0, count, step):
-        s_hi, s_lo, i_hi, i_lo = (v[k:k + step] for v in (seed_hi, seed_lo, inc_hi, inc_lo))
-        lo_a, lo_g = s_lo * a_lo, i_lo * g_lo
-        lo = lo_a + lo_g
-        hi = (_mulhi(s_lo, a_lo) + s_lo * a_hi + s_hi * a_lo
-              + _mulhi(i_lo, g_lo) + i_lo * g_hi + i_hi * g_lo + (lo < lo_a))
-        x, rot = hi ^ lo, hi >> 58
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        uniforms[k:k + step] = (x >> 11) * 2.0 ** -53
+    for t in range(0, shots, width):
+        if t:
+            b_hi, b_lo = _add128(*_mul128(b_hi, b_lo, shift), *_mul128(inc_hi, inc_lo, shift_inc))
+        m = min(width, shots - t)
+        for k in range(0, count, step):
+            s_hi, s_lo, i_hi, i_lo = (v[k:k + step] for v in (b_hi, b_lo, inc_hi, inc_lo))
+            lo_a, lo_g = s_lo * a_lo[:m], i_lo * g_lo[:m]
+            lo = lo_a + lo_g
+            hi = (_mulhi(s_lo, a_lo[:m]) + s_lo * a_hi[:m] + s_hi * a_lo[:m]
+                  + _mulhi(i_lo, g_lo[:m]) + i_lo * g_hi[:m] + i_hi * g_lo[:m] + (lo < lo_a))
+            x, rot = hi ^ lo, hi >> 58
+            x = (x >> rot) | (x << ((64 - rot) & 63))
+            uniforms[k:k + step, t:t + m] = (x >> 11) * 2.0 ** -53
     return uniforms
 
 

@@ -2,14 +2,18 @@
 
 Shared by the estimator tests and the acceptance suite: every (basis,
 outcome) pair a plan can produce is listed with its probability, so
-estimator means and variances come out exact instead of sampled.
+estimator means and variances come out exact instead of sampled.  The
+per-line record parser kept here is the oracle for the array parser in
+``paulimeter.formats``.
 """
 
 import itertools
 
 import numpy as np
 
+from paulimeter.errors import EmptyInput
 from paulimeter.estimators import ShotBatch, per_shot_estimates
+from paulimeter.formats import _LETTER_CODES, _fail
 from paulimeter.paulis import PauliString
 from paulimeter.states import born_distribution, sample_outcomes
 
@@ -64,3 +68,53 @@ def sample_records(plan, rho, ns, seed, nr=1):
                                 np.random.default_rng(child).random(nr))
                 for child, row in zip(outcome_ss.spawn(ns), letters)]
     return ShotBatch(np.repeat(letters, nr, axis=0), np.concatenate(outcomes))
+
+
+def parse_records_loop(path):
+    """Record file to ShotBatch one line at a time, with str.split()."""
+    linenos, bases, bits, reps = [], [], [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) not in (2, 3):
+                _fail(path, lineno, "record lines are '<basis> <bits> [reps]'")
+            linenos.append(lineno)
+            bases.append(parts[0])
+            bits.append(parts[1])
+            try:
+                reps.append(int(parts[2]) if len(parts) == 3 else 1)
+            except ValueError:
+                _fail(path, lineno, f"bad reps {parts[2]!r}")
+            if not 1 <= reps[-1] < 1 << 63:
+                _fail(path, lineno, "reps must be >= 1 and below 2**63")
+    if not linenos:
+        raise EmptyInput(f"{path}: no record lines")
+    n = len(bases[0])
+
+    def first_bad(bad, message):
+        if bad.any():
+            k = int(np.argmax(bad))
+            _fail(path, linenos[k], message(k))
+
+    def chars(fields):
+        data = "".join(fields).encode("ascii", "replace")
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, n)
+
+    def bad_bits(k):
+        return f"bits {bits[k]!r} must be {n} characters of 0/1"
+
+    first_bad(np.array([len(b) for b in bases]) != n,
+              lambda k: f"basis {bases[k]} does not fit n={n}")
+    letters = _LETTER_CODES[chars(bases)]
+    first_bad(np.any(letters < 0, axis=1), lambda k: f"invalid Pauli letter in {bases[k]!r}")
+    first_bad(np.any(letters == 0, axis=1),
+              lambda k: f"record basis {bases[k]} contains identity letters")
+    first_bad(np.array([len(b) for b in bits]) != n, bad_bits)
+    bit_rows = chars(bits) - ord("0")
+    first_bad(np.any(bit_rows > 1, axis=1), bad_bits)
+    try:
+        return ShotBatch(letters, bit_rows, reps)
+    except ValueError as exc:
+        _fail(path, linenos[0], str(exc))

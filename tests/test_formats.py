@@ -4,12 +4,14 @@ import tempfile
 
 import numpy as np
 import pytest
+from enumtools import parse_records_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulimeter.errors import FormatError
+from paulimeter.errors import EmptyInput, FormatError
 from paulimeter.estimators import ShotBatch, ShotRecord
 from paulimeter.formats import (
+    _separators,
     builtin_hamiltonian,
     load_hamiltonian,
     parse_hamiltonian,
@@ -155,6 +157,146 @@ def test_records_parse_errors(tmp_path, content, fragment):
     with pytest.raises(FormatError) as err:
         parse_records(str(path))
     assert fragment in str(err.value)
+
+
+def test_write_records_bytes_are_the_line_format():
+    batch = ShotBatch([[1, 2, 3], [3, 3, 1], [2, 1, 1]], [[0, 1, 0], [1, 1, 1], [0, 0, 1]],
+                      [1, 12, 2 ** 63 - 1])
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows in (batch, ShotBatch(batch.letters, batch.bits)):
+            write_records(f"{tmp}/r.rec", rows)
+            with open(f"{tmp}/r.rec", "rb") as fh:
+                assert fh.read().decode() == "".join(
+                    f"{r.basis} {''.join(map(str, r.bits))}{f' {r.reps}' if r.reps > 1 else ''}\n"
+                    for r in rows)
+
+
+def test_record_separators_are_the_ascii_isspace_set():
+    codes = np.arange(256, dtype=np.uint8)
+    np.testing.assert_array_equal(_separators(codes), [c < 128 and chr(c).isspace() for c in range(256)])
+
+
+def test_records_non_ascii_comment_is_accepted(tmp_path):
+    path = tmp_path / "r.rec"
+    path.write_text("# café, ψ and a non-breaking\u00a0space\n  #\u2003indented\nXZ 01\n#é\n")
+    assert parse_records(str(path)) == ShotBatch([[1, 3]], [[0, 1]])
+
+
+@pytest.mark.parametrize("line", ["XZ\u00a001", "XZ 0é", "\u2003XZ 01", "\u2003# not a comment"])
+def test_records_non_ascii_record_line_names_its_line(tmp_path, line):
+    path = tmp_path / "r.rec"
+    path.write_text(f"# header\nXZ 01 3\n{line}\nXZ Q1\n")
+    with pytest.raises(FormatError) as err:
+        parse_records(str(path))
+    assert str(err.value) == f"{path}:3: record lines must be ASCII"
+
+
+# the ASCII characters str.isspace() accepts, less the line endings \n and \r
+_GAPS = " \t\v\f\x1c\x1d\x1e\x1f"
+_CORRUPTIONS = ("none", "count", "reps", "range", "empty", "length", "letter", "identity",
+                "bits-length", "bits")
+
+
+@st.composite
+def record_files(draw, kind):
+    """Record file text mixing every separator, line ending, blank and
+    comment form and reps spelling, with a record line corrupted as `kind`
+    says and perhaps a second one in another way."""
+    n = draw(st.integers(1, 5))
+    word = lambda alphabet, size: draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        form = draw(st.sampled_from(("record", "record", "record", "blank", "comment")))
+        if form == "record":
+            tokens = [word("XYZ", n), word("01", n)]
+            tokens += draw(st.sampled_from(([], [], ["1"], ["3"], ["+5"], ["5_0"], ["007"],
+                                            [str(2 ** 63 - 1)])))
+        elif form == "blank":
+            tokens = []
+        else:
+            tokens = draw(st.sampled_from((["#"], ["#", "XZ", "01"], ["#XZ", "01"], ["#x"],
+                                           ["#é", "ψ\u00a0\u2028"], ["##", "0"])))
+        lines.append(tokens)
+    records = [k for k, tokens in enumerate(lines) if tokens and tokens[0][0] != "#"]
+    if kind == "empty":
+        lines = [tokens for k, tokens in enumerate(lines) if k not in records]
+    elif kind != "none":
+        if not records:
+            lines.append([word("XYZ", n), word("01", n)])
+            records = [len(lines) - 1]
+        # a count corruption may drop tokens, so it is never followed by another
+        extra = st.sampled_from(_CORRUPTIONS[2:4] + _CORRUPTIONS[5:])
+        for kind in draw(st.lists(extra, max_size=2)) + [kind]:
+            tokens = lines[draw(st.sampled_from(records))]
+            at = draw(st.integers(0, n - 1))
+            if kind == "count":
+                tokens[:] = draw(st.sampled_from((tokens[:1], tokens[:2] + ["2", "9"])))
+            elif kind in ("reps", "range"):
+                tokens[2:] = [draw(st.sampled_from(
+                    ("x", "2**63", "1.0", "0x10", "#c", "--1") if kind == "reps"
+                    else ("0", "-3", "+0", "-0", str(2 ** 63), "9" * 30)))]
+            elif kind == "length":
+                tokens[0] = draw(st.sampled_from((tokens[0] + "X", tokens[0][1:] or "XY")))
+            elif kind in ("letter", "identity"):
+                bad = "I" if kind == "identity" else draw(st.sampled_from("Qxi0\x00\x7f"))
+                tokens[0] = tokens[0][:at] + bad + tokens[0][at + 1:]
+            elif kind == "bits-length":
+                tokens[1] = draw(st.sampled_from((tokens[1] + "0", tokens[1][1:] or "01")))
+            else:
+                bad = draw(st.sampled_from("2a/\x00"))
+                tokens[1] = tokens[1][:at] + bad + tokens[1][at + 1:]
+    gap = st.text(alphabet=_GAPS, min_size=1, max_size=3)
+    pad = st.text(alphabet=_GAPS, max_size=2)
+    text = ""
+    for tokens in lines:
+        text += draw(pad) + "".join(t + draw(gap) for t in tokens[:-1]) + "".join(tokens[-1:])
+        text += draw(pad) + draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _parse_outcome(parse, path):
+    try:
+        return parse(path)
+    except (FormatError, EmptyInput) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("content,lineno,fragment", [
+    ("XZ 01 1 9\nXZ 01 x\n", 1, "record lines"),
+    ("XZ 01 x\nXZ\n", 1, "bad reps"),
+    ("XZ 01 0\nXZ 01 x\n", 1, ">= 1"),
+    ("XZ\u00a001\nXZ 01 x\n", 1, "ASCII"),
+    ("XZ 01 x\nXZ\u00a001\n", 1, "bad reps"),
+    ("XZ\nXZ 01 1 9\n", 1, "record lines"),
+    ("XZ 01\nXZ 01 1 9\nXQ 01\nXZ 01 x\n", 2, "record lines"),
+    ("XZ 0\nXI 01\nXQ 01\nXYZ 01\n", 4, "does not fit"),
+    ("XZ 0\nXI 01\nXQ 01\n", 3, "letter"),
+    ("XZ 02\nXZ 0\nXI 01\n", 3, "identity"),
+    ("XZ 02\nXZ 0\n", 2, "0/1"),
+])
+def test_parse_records_reports_the_first_error_in_order(tmp_path, content, lineno, fragment):
+    path = tmp_path / "bad.rec"
+    path.write_text(content)
+    with pytest.raises(FormatError) as err:
+        parse_records(str(path))
+    assert str(err.value).startswith(f"{path}:{lineno}: ") and fragment in str(err.value)
+    if "ASCII" not in fragment:
+        assert _parse_outcome(parse_records_loop, str(path)) == (FormatError, str(err.value))
+
+
+@pytest.mark.parametrize("kind", _CORRUPTIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parse_records_matches_the_line_loop(kind, data):
+    text = data.draw(record_files(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/r.rec"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got, want = _parse_outcome(parse_records, path), _parse_outcome(parse_records_loop, path)
+    assert got == want
+    if kind == "empty":
+        assert want == (EmptyInput, f"{path}: no record lines")
 
 
 def test_builtin_lattice4_structure():

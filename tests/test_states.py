@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulimeter.errors import DimensionMismatch, FeasibilityError
-from paulimeter.paulis import PauliString, WeightedPauliSum
+from paulimeter.paulis import PauliString, WeightedPauliSum, _row_keys
 from paulimeter.states import (
     DENSE_MAX_QUBITS,
     DensityMatrix,
@@ -244,13 +244,18 @@ def test_sample_outcomes_rejects_bad_shots():
         sample_outcomes(ghz(2), P("ZZ"), uniforms(0, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("shots", [1, 3])
 def test_sample_settings_equals_the_per_setting_loop(n, shots):
     rng = np.random.default_rng(100 + n)
     rho = random_mixed_state(n, rng)
-    distinct = rng.integers(1, 4, size=(4, n), dtype=np.int8)
-    letters = distinct[rng.integers(0, 4, size=12)]  # rows repeat
+    distinct = rng.integers(1, 4, size=(6, n), dtype=np.int8)
+    if n > 1:
+        # XX..XZ sorts before ZX..XX by letters but after it by row key
+        distinct[4:] = 1
+        distinct[4, -1] = distinct[5, 0] = 3
+        assert _row_keys(distinct[4:5]) > _row_keys(distinct[5:6])
+    letters = distinct[rng.integers(0, 6, size=12)]  # rows repeat
     for entropy, key in ((n, ()), (2 ** 70 + n, (shots, 2 ** 33))):
         children = np.random.SeedSequence(entropy, spawn_key=key).spawn(len(letters))
         loop = np.concatenate([sample_outcomes(rho, PauliString.from_codes(row),
@@ -275,6 +280,16 @@ def test_bulk_draws_are_the_spawned_children_streams(entropy, key, count, shots)
     got = _child_uniforms(parent, count, shots)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert parent.n_children_spawned == 0
+
+
+def test_many_shot_draws_cross_the_blocks():
+    # 40,000 shots span several doublings of the LCG constants and three
+    # blocks of 2^14 draws, the last one partial
+    parent = np.random.SeedSequence(2 ** 70 + 9, spawn_key=(4,))
+    want = np.array([uniforms(40_000, child) for child in
+                     np.random.SeedSequence(2 ** 70 + 9, spawn_key=(4,)).spawn(3)])
+    got = _child_uniforms(parent, 3, 40_000)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_settings_refuses_a_parent_it_cannot_replay():
