@@ -26,8 +26,10 @@ MAX_QUBITS = 16
 
 _LETTERS = "IXYZ"
 _CODE = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-# (x bit, z bit) per letter code
+# (x bit, z bit) per letter code, and letter code by x bit + 2 * z bit
 _PLANES = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+_CODE_OF_PLANES = (0, 1, 3, 2)
+_FROM_PLANES = np.array(_CODE_OF_PLANES, dtype=np.int8)
 
 _I2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,18 +91,15 @@ class PauliString:
 
     def code(self, i: int) -> int:
         """Letter code 0..3 (I,X,Y,Z) at site i."""
-        return _recode((self.x >> i) & 1, (self.z >> i) & 1)
+        return _CODE_OF_PLANES[((self.x >> i) & 1) + 2 * ((self.z >> i) & 1)]
 
     def codes(self) -> np.ndarray:
         """All letter codes as an int8 array of length n."""
-        idx = np.arange(self.n)
-        bx = (self.x >> idx) & 1
-        bz = (self.z >> idx) & 1
-        return _recode_array(bx, bz)
+        return letter_matrix((self,), self.n)[0]
 
     @property
     def letters(self) -> str:
-        return "".join(_LETTERS[_recode((self.x >> i) & 1, (self.z >> i) & 1)] for i in range(self.n))
+        return "".join(_LETTERS[self.code(i)] for i in range(self.n))
 
     @property
     def support_mask(self) -> int:
@@ -129,7 +128,7 @@ class PauliString:
         """Dense 2^n x 2^n matrix (oracle use only)."""
         out = np.array([[1.0 + 0j]])
         for i in range(self.n):
-            out = np.kron(out, _MATS[_recode((self.x >> i) & 1, (self.z >> i) & 1)])
+            out = np.kron(out, _MATS[self.code(i)])
         return out
 
     def __str__(self) -> str:
@@ -139,18 +138,21 @@ class PauliString:
         return f"PauliString({self.letters!r})"
 
 
-def _recode(bx: int, bz: int) -> int:
-    if bx:
-        return 2 if bz else 1
-    return 3 if bz else 0
+def letter_matrix(strings, n: int) -> np.ndarray:
+    """int8 (len(strings), n) matrix whose row k is ``strings[k].codes()``,
+    decoded from the bit planes of all n-qubit strings at once."""
+    planes = (np.array([(s.x, s.z) for s in strings], dtype=np.int64).reshape(-1, 2, 1)
+              >> np.arange(n)) & 1
+    return _FROM_PLANES[planes[:, 0] + 2 * planes[:, 1]]
 
 
-def _recode_array(bx: np.ndarray, bz: np.ndarray) -> np.ndarray:
-    out = np.zeros(bx.shape, dtype=np.int8)
-    out[(bx == 1) & (bz == 0)] = 1
-    out[(bx == 1) & (bz == 1)] = 2
-    out[(bx == 0) & (bz == 1)] = 3
-    return out
+def strings_from_letters(letters: np.ndarray) -> tuple[PauliString, ...]:
+    """One PauliString per row of an int (B, n) letter-code matrix, with the
+    bit planes of all rows packed at once."""
+    weights = 1 << np.arange(letters.shape[1], dtype=np.int64)
+    xs = ((letters == 1) | (letters == 2)) @ weights
+    zs = (letters >= 2) @ weights
+    return tuple(PauliString(letters.shape[1], x, z) for x, z in zip(xs.tolist(), zs.tolist()))
 
 
 def _row_keys(letters: np.ndarray) -> np.ndarray:

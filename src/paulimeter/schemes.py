@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateObservable, PlanMismatch
-from .paulis import PauliString, WeightedPauliSum, hits
+from .paulis import PauliString, WeightedPauliSum, hits, letter_matrix, strings_from_letters
 
 _PROB_TOL = 1e-10
 _LBCS_FLOOR = 1e-6
@@ -109,7 +109,7 @@ class MeasurementPlan:
         if self.members is not None and any(t not in range(len(self.terms)) for m in self.members for t in m):
             raise ValueError(f"members name term indices outside 0..{len(self.terms) - 1}")
         bases = self.fixed_bases or tuple(b for b, _ in entries)
-        letters = np.array([b.codes() for b in bases], dtype=np.int8).reshape(len(bases), self.n)
+        letters = letter_matrix(bases, self.n)
         letters.setflags(write=False)
         object.__setattr__(self, "letters", letters)
 
@@ -357,6 +357,10 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
     slot's letter distribution, every choice satisfies F_after <= F_before.
     Terms never hit by the finished plan are listed in ``unhit_terms``;
     their total weight is the initial bias the estimator reports.
+    The loop relies on two invariants: a term's running match ``cur`` and
+    each ``match`` entry are 0 or 1, so a letter's cost factor is 1 or
+    1 - gamma 3^-(r-1); and a term's count ``r`` of unfixed support sites at
+    site i depends on its support alone, so that factor is built once per site.
     """
     if ns < 1:
         raise ValueError("ns must be >= 1")
@@ -364,47 +368,40 @@ def plan_derandomized(o: WeightedPauliSum, ns: int, epsilon: float = 0.9) -> Mea
     if any(p.is_identity for p in o.paulis):
         raise DegenerateObservable("derandomization needs nonempty support on every term")
     gamma = 1.0 - math.exp(-epsilon * epsilon / 2.0)
-    L = len(o)
-    n = o.n
     supp = o.letters != 0
-    w = supp.sum(axis=1)
-    future_base = 1.0 - gamma * (3.0 ** (-w.astype(float)))
+    r = supp.sum(axis=1).astype(float)  # unfixed support sites remaining
+    future_base = 1.0 - gamma * (3.0 ** (-r))
 
-    # per site: the terms it supports, and their X, Y, Z match rows
+    # per site: the terms it supports, their X, Y, Z match rows, and the
+    # factor 1 - gamma 3^-(r-1) a still-matching term takes on a match there
     sites = []
-    for i in range(n):
+    for i in range(o.n):
         affected = np.flatnonzero(supp[:, i])
-        sites.append((affected, (o.letters[affected, i] == np.array([[1], [2], [3]])).astype(float)))
+        match = o.letters[affected, i] == np.array([[1], [2], [3]])
+        sites.append((affected, match, 1.0 - gamma * 3.0 ** (-(r[affected] - 1.0))))
+        r[affected] -= 1.0
 
-    c = np.ones(L)  # product over completed measurements
-    hit_counts = np.zeros(L, dtype=np.int64)
-    chosen = np.zeros((ns, n), dtype=np.int8)
+    c = np.ones(len(o))  # product over completed measurements
+    ever_hit = np.zeros(len(o), dtype=bool)
+    chosen = np.zeros((ns, o.n), dtype=np.int8)
     for j in range(ns):
-        cur = np.ones(L)  # match product over fixed sites of measurement j
-        r = w.astype(float).copy()  # unfixed support sites remaining
-        fut = future_base ** (ns - j - 1)
-        for i, (affected, match) in enumerate(sites):
-            if not len(affected):
-                chosen[j, i] = 1  # letter is irrelevant; X by the tie rule
-                continue
-            base = c[affected] * fut[affected]
-            cur_a = cur[affected]
-            pow_rest = 3.0 ** (-(r[affected] - 1.0))
-            cost = np.sum(base * (1.0 - gamma * cur_a * match * pow_rest), axis=1)
-            best = int(np.argmin(cost))  # the first minimum: X before Y before Z
+        cur = np.ones(len(o), dtype=bool)  # terms matched on every fixed site of measurement j
+        base = c * future_base ** (ns - j - 1)
+        for i, (affected, match, hit) in enumerate(sites):
+            live = cur[affected] & match
+            # a site no term touches costs 0 for every letter and falls to X
+            cost = (base[affected] * np.where(live, hit, 1.0)).sum(axis=1)
+            best = int(cost.argmin())  # the first minimum: X before Y before Z
             chosen[j, i] = best + 1
-            cur[affected] *= match[best]
-            r[affected] -= 1.0
-        hits_j = cur  # r == 0 on every support site now
-        hit_counts += hits_j.astype(np.int64)
-        c *= 1.0 - gamma * hits_j
-    bases = tuple(PauliString.from_codes(chosen[j]) for j in range(ns))
-    unhit = tuple(int(i) for i in np.flatnonzero(hit_counts == 0))
+            cur[affected] = live[best]
+        ever_hit |= cur  # every support site is fixed now
+        c[cur] *= 1.0 - gamma
+    unhit = tuple(int(i) for i in np.flatnonzero(~ever_hit))
     return MeasurementPlan(
         scheme="derand",
-        n=n,
+        n=o.n,
         terms=o.paulis,
-        fixed_bases=bases,
+        fixed_bases=strings_from_letters(chosen),
         unhit_terms=unhit,
     )
 

@@ -4,17 +4,20 @@ Shared by the estimator tests and the acceptance suite: every (basis,
 outcome) pair a plan can produce is listed with its probability, so
 estimator means and variances come out exact instead of sampled.  The
 per-line record parser kept here is the oracle for the array parser in
-``paulimeter.formats``.
+``paulimeter.formats``, and the per-site greedy loop kept here is the oracle
+for ``paulimeter.schemes.plan_derandomized``.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from paulimeter.errors import EmptyInput
+from paulimeter.errors import DegenerateObservable, EmptyInput
 from paulimeter.estimators import ShotBatch, per_shot_estimates
 from paulimeter.formats import _LETTER_CODES, _fail
 from paulimeter.paulis import PauliString
+from paulimeter.schemes import MeasurementPlan
 from paulimeter.states import born_distribution, sample_outcomes
 
 
@@ -118,3 +121,57 @@ def parse_records_loop(path):
         return ShotBatch(letters, bit_rows, reps)
     except ValueError as exc:
         _fail(path, linenos[0], str(exc))
+
+
+def plan_derandomized_loop(o, ns, epsilon=0.9):
+    """Greedy derandomized plan with the float cost arithmetic written out
+    per (slot, site): match products, remaining-support powers and costs."""
+    if ns < 1:
+        raise ValueError("ns must be >= 1")
+    o.require_nonempty()
+    if any(p.is_identity for p in o.paulis):
+        raise DegenerateObservable("derandomization needs nonempty support on every term")
+    gamma = 1.0 - math.exp(-epsilon * epsilon / 2.0)
+    L = len(o)
+    n = o.n
+    supp = o.letters != 0
+    w = supp.sum(axis=1)
+    future_base = 1.0 - gamma * (3.0 ** (-w.astype(float)))
+
+    # per site: the terms it supports, and their X, Y, Z match rows
+    sites = []
+    for i in range(n):
+        affected = np.flatnonzero(supp[:, i])
+        sites.append((affected, (o.letters[affected, i] == np.array([[1], [2], [3]])).astype(float)))
+
+    c = np.ones(L)  # product over completed measurements
+    hit_counts = np.zeros(L, dtype=np.int64)
+    chosen = np.zeros((ns, n), dtype=np.int8)
+    for j in range(ns):
+        cur = np.ones(L)  # match product over fixed sites of measurement j
+        r = w.astype(float).copy()  # unfixed support sites remaining
+        fut = future_base ** (ns - j - 1)
+        for i, (affected, match) in enumerate(sites):
+            if not len(affected):
+                chosen[j, i] = 1  # letter is irrelevant; X by the tie rule
+                continue
+            base = c[affected] * fut[affected]
+            cur_a = cur[affected]
+            pow_rest = 3.0 ** (-(r[affected] - 1.0))
+            cost = np.sum(base * (1.0 - gamma * cur_a * match * pow_rest), axis=1)
+            best = int(np.argmin(cost))  # the first minimum: X before Y before Z
+            chosen[j, i] = best + 1
+            cur[affected] *= match[best]
+            r[affected] -= 1.0
+        hits_j = cur  # r == 0 on every support site now
+        hit_counts += hits_j.astype(np.int64)
+        c *= 1.0 - gamma * hits_j
+    bases = tuple(PauliString.from_codes(chosen[j]) for j in range(ns))
+    unhit = tuple(int(i) for i in np.flatnonzero(hit_counts == 0))
+    return MeasurementPlan(
+        scheme="derand",
+        n=n,
+        terms=o.paulis,
+        fixed_bases=bases,
+        unhit_terms=unhit,
+    )

@@ -647,6 +647,19 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of the derandomized plan of pool-sweep's observable sum (the 50-term
+# pool of `default_observable_pool(seed=21)`, N_s=2000): `letters.tobytes()`
+# followed by `unhit_terms` as int64, recorded at commit b400fa7.
+PINNED_POOL_PLAN_DIGEST = "9280e0eddc895311a4f2fb8b42839a0d042c3d5cf285855bf49d8e68a4e07fcf"
+
+
+def test_pool_sweep_derandomized_plan_matches_pinned_digest():
+    pool = default_observable_pool(seed=21)
+    plan = plan_derandomized(WeightedPauliSum(pool[0].n, tuple((1.0, p) for p in pool)), 2000)
+    data = plan.letters.tobytes() + np.asarray(plan.unhit_terms, dtype=np.int64).tobytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_POOL_PLAN_DIGEST
+
+
 def test_seeded_cli_outputs_match_pinned_digests(tmp_path):
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()

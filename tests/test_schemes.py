@@ -4,11 +4,14 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from enumtools import plan_derandomized_loop
 from paulimeter.errors import DegenerateObservable, PlanMismatch
 from paulimeter.experiments import default_observable_pool
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
-from paulimeter.formats import builtin_hamiltonian
+from paulimeter.formats import builtin_hamiltonian, read_plan, write_plan
 from paulimeter.schemes import (
     BasisDistribution,
     MeasurementPlan,
@@ -321,3 +324,56 @@ def test_draw_bases_returns_a_letter_array(plan):
         assert all(any((row == e).all() for e in plan.letters) for row in drawn)
     else:
         assert set(np.unique(drawn)) <= {1, 2, 3}
+
+
+@st.composite
+def derand_inputs(draw):
+    """An observable on n = 1..8 qubits with 1..40 distinct terms of weight
+    1..n, one site left to no term when ``free`` is drawn and n > 1."""
+    n = draw(st.integers(1, 8))
+    free = draw(st.none() | st.integers(0, n - 1)) if n > 1 else None
+    sites = [i for i in range(n) if i != free]
+    term = st.builds(lambda supp, letters: tuple(letters[i] if i in supp else 0 for i in range(n)),
+                     st.sets(st.sampled_from(sites), min_size=1),
+                     st.fixed_dictionaries({i: st.integers(1, 3) for i in sites}))
+    rows = draw(st.lists(term, min_size=1, max_size=40, unique=True))
+    return WeightedPauliSum(n, [(1.0, PauliString.from_codes(r)) for r in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(derand_inputs(), st.integers(1, 300), st.sampled_from((0.3, 0.9, 2.0)))
+@example(WeightedPauliSum(3, [(1.0, P("XIZ")), (1.0, P("YIZ")), (1.0, P("ZII"))]), 7, 0.9)
+def test_plan_derandomized_equals_the_per_site_loop(o, ns, eps):
+    plan = plan_derandomized(o, ns, eps)
+    want = plan_derandomized_loop(o, ns, eps)
+    assert plan.letters.tobytes() == want.letters.tobytes()
+    assert plan.fixed_bases == want.fixed_bases
+    assert plan.unhit_terms == want.unhit_terms
+
+
+def letter_rows_observable(n):
+    """Terms on n qubits that put every letter on the top site n - 1."""
+    rows = [[0] * (n - 1) + [c] for c in (1, 2, 3)]
+    if n > 1:
+        rows += [[1 + (i + k) % 3 for i in range(n)] for k in range(3)]
+    return WeightedPauliSum(n, [(0.5 + k, PauliString.from_codes(r)) for k, r in enumerate(rows)])
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_plan_letters_decode_the_bases_bit_planes(n, tmp_path):
+    o = letter_rows_observable(n)
+    plans = [plan_l1(o), plan_ldf(o), plan_uniform_cs(n), plan_lbcs(o), plan_derandomized(o, 9)]
+    for plan in plans:
+        write_plan(str(tmp_path / "plan.json"), plan)
+        for p in (plan, read_plan(str(tmp_path / "plan.json"))):
+            if p.scheme == "derand":
+                bases = p.fixed_bases
+            elif p.distribution.kind == "explicit":
+                bases = [b for b, _ in p.distribution.explicit]
+            else:
+                bases = []
+            assert p.letters.dtype == np.int8 and p.letters.shape == (len(bases), n)
+            for row, basis in zip(p.letters, bases):
+                np.testing.assert_array_equal(row, basis.codes())
+                assert "".join("IXYZ"[c] for c in row) == basis.letters
+    assert {row[-1] for p in plans for row in p.letters} == {1, 2, 3}
