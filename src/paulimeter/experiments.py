@@ -4,12 +4,15 @@ Three sweeps over noisy GHZ states: per-observable error comparison across
 sampling schemes, energy (and squared-energy) error, and entanglement
 quantities per subsystem mask.  Every cell derives its randomness from
 ``np.random.SeedSequence(seed, spawn_key=...)``, so each CSV row is a pure
-function of (spec, seed) and parallel execution over cells produces output
-byte-identical to a serial run.  A cell spawns two children: one generator
-draws its bases, and the other child is the parent of one bulk outcome
-stream in which setting k reads what ``default_rng`` gives its k-th spawned
-child (``states.sample_settings``).  Seeded bytes thus depend on numpy's
-SeedSequence and PCG64 stream algorithms.
+function of (spec, seed) and parallel execution produces output
+byte-identical to a serial run.  An estimation sweep fans out tasks that
+each build one (scheme, N_s) plan and then run a strided chunk of its
+repetitions, so planning is part of the parallel work; an entanglement
+sweep fans out one task per (N_s, repetition).  A cell spawns two children:
+one generator draws its bases, and the other child is the parent of one
+bulk outcome stream in which setting k reads what ``default_rng`` gives its
+k-th spawned child (``states.sample_settings``).  Seeded bytes thus depend
+on numpy's SeedSequence and PCG64 stream algorithms.
 """
 
 import dataclasses
@@ -169,26 +172,41 @@ def _run_cells(worker, cells, jobs: int):
         return list(pool.map(worker, cells))
 
 
-def _estimate_cell(args):
-    rho, plan, o, ns, nr, rep, master, task = args
-    ss = np.random.SeedSequence(master, spawn_key=(
-        _TASK_CODE[task], SCHEME_NAMES.index(plan.scheme), ns, rep))
-    records = _cell_records(rho, plan, ns, nr, ss)
-    if task == "observables":
-        return per_term_expectations(records, plan, o)
-    return estimate(records, plan, o)
+def _estimate_task(args):
+    """Build one (scheme, N_s) plan, then run the repetitions this task owns."""
+    scheme, ns, reps, rho, o, nr, master, task = args
+    plan = build_plan(scheme, o, o.n, ns)
+    kernel = per_term_expectations if task == "observables" else estimate
+    out = []
+    for rep in reps:
+        ss = np.random.SeedSequence(master, spawn_key=(
+            _TASK_CODE[task], SCHEME_NAMES.index(scheme), ns, rep))
+        out.append(kernel(_cell_records(rho, plan, ns, nr, ss), plan, o))
+    return out
 
 
 def _estimate_sweep(spec: ExperimentSpec, o: WeightedPauliSum, rho: DensityMatrix, jobs: int):
     """[((scheme, N_s, repetition), cell result), ...] for every cell of an
-    estimation task, in key order.  The sort reads the key alone: results
-    may be arrays, and a repeated scheme repeats keys (with equal results)."""
-    plans = {(s, ns): build_plan(s, o, o.n, ns) for s in spec.schemes for ns in spec.ns_grid}
-    keys = [(s, ns, rep) for s in spec.schemes for ns in spec.ns_grid
-            for rep in range(spec.repetitions)]
-    cells = [(rho, plans[(s, ns)], o, ns, spec.effective_nr, rep, spec.seed, spec.task)
-             for s, ns, rep in keys]
-    return sorted(zip(keys, _run_cells(_estimate_cell, cells, jobs)), key=lambda kr: kr[0])
+    estimation task, in key order.
+
+    Each distinct (scheme, N_s) group is planned once, inside the tasks: its
+    repetitions split into min(R, ceil(jobs / groups)) strided chunks, one
+    task each, and a repeated scheme's results are copied to every repeated
+    key.  Larger N_s runs first, and derand first within an N_s, since its
+    planner alone grows with N_s.  Cell seeds come from the key alone and no
+    planner draws randomness, so chunking moves no byte.
+    """
+    groups = sorted(dict.fromkeys((s, ns) for s in spec.schemes for ns in spec.ns_grid),
+                    key=lambda g: (-g[1], g[0] != "derand"))
+    chunks = max(1, min(spec.repetitions, -(-jobs // len(groups))))
+    tasks = [(s, ns, range(spec.repetitions)[c::chunks], rho, o, spec.effective_nr,
+              spec.seed, spec.task) for s, ns in groups for c in range(chunks)]
+    results = {(s, ns, rep): r
+               for (s, ns, reps, *_), out in zip(tasks, _run_cells(_estimate_task, tasks, jobs))
+               for rep, r in zip(reps, out)}
+    keys = sorted((s, ns, rep) for s in spec.schemes for ns in spec.ns_grid
+                  for rep in range(spec.repetitions))
+    return [(k, results[k]) for k in keys]
 
 
 def run_observables_experiment(spec: ExperimentSpec, jobs: int = 1) -> RunResult:

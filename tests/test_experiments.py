@@ -1,6 +1,7 @@
 """Experiment runners and the command line: determinism and pipelines."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -95,6 +96,12 @@ def test_observables_runner_shape_and_determinism():
     parallel = run_observables_experiment(SMALL_OBS, jobs=2)
     rerun = run_observables_experiment(SMALL_OBS)
     assert serial.csv == parallel.csv == rerun.csv
+    # at jobs=3 each of the two (cs, N_s) groups splits its 5 repetitions
+    # into strided chunks of 3 and 2
+    uneven = dataclasses.replace(SMALL_OBS, schemes=("cs",), ns_grid=(20, 40), repetitions=5)
+    runs = [run_observables_experiment(uneven, jobs=j).csv for j in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert len(rows_of(runs[0])) == 2 * 5
     rows = rows_of(serial.csv)
     assert len(rows) == 2 * 1 * 3
     assert set(r["scheme"] for r in rows) == {"l1", "cs"}
@@ -136,7 +143,9 @@ def test_energy_runner_and_derandomized_path():
     )
     serial = run_energy_experiment(spec)
     parallel = run_energy_experiment(spec, jobs=2)
-    assert serial.csv == parallel.csv
+    # jobs=3 gives each (scheme, N_s) group two one-repetition chunks
+    chunked = run_energy_experiment(spec, jobs=3)
+    assert serial.csv == parallel.csv == chunked.csv
     rows = rows_of(serial.csv)
     assert len(rows) == 4
     for r in rows:
@@ -354,8 +363,10 @@ def test_cli_bench_rerun_and_parallel_identical(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_process_pool_is_capped_at_the_cell_count(monkeypatch):
-    widths = []
+def serial_pool(monkeypatch):
+    """Swap ProcessPoolExecutor for an in-process stand-in; returns the list
+    of pool widths and the list of tasks handed to map."""
+    widths, tasks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -368,14 +379,61 @@ def test_process_pool_is_capped_at_the_cell_count(monkeypatch):
             return False
 
         def map(self, worker, cells):
+            tasks.extend(cells)
             return map(worker, cells)
 
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return widths, tasks
+
+
+def test_process_pool_is_capped_at_the_cell_count(monkeypatch):
     spec = ExperimentSpec(task="observables", schemes=("cs",), ns_grid=(20,), repetitions=2,
                           seed=4, observables=default_observable_pool(3, count=6))
     serial = run_observables_experiment(spec)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    widths, _ = serial_pool(monkeypatch)
     assert run_observables_experiment(spec, jobs=1000) == serial
     assert widths == [2]
+
+
+def test_sweep_tasks_plan_once_largest_ns_and_derand_first(monkeypatch):
+    spec = ExperimentSpec(task="observables", schemes=("l1", "ldf", "cs", "lbcs", "derand"),
+                          ns_grid=(20, 40), repetitions=2, seed=4,
+                          observables=default_observable_pool(3, count=6))
+    serial = run_observables_experiment(spec)
+    built = []
+    build_plan = experiments.build_plan
+
+    def counting_build_plan(scheme, o, n, ns):
+        built.append((scheme, ns))
+        return build_plan(scheme, o, n, ns)
+
+    monkeypatch.setattr(experiments, "build_plan", counting_build_plan)
+    widths, tasks = serial_pool(monkeypatch)
+    assert run_observables_experiment(spec, jobs=2) == serial
+    # ten groups for two workers: one task per plan, so each plan is built
+    # once; larger N_s first, the derandomized planner first within an N_s
+    order = [(s, ns) for ns in (40, 20) for s in ("derand", "l1", "ldf", "cs", "lbcs")]
+    assert [task[:2] for task in tasks] == order
+    assert built == order
+    assert widths == [2]
+
+
+def test_repeated_scheme_is_computed_once(monkeypatch):
+    spec = ExperimentSpec(task="observables", schemes=("l1", "cs", "derand", "cs"),
+                          ns_grid=(1, 40), repetitions=3, seed=3)
+    calls = []
+    cell_records = experiments._cell_records
+
+    def counting_cell_records(*args):
+        calls.append(args)
+        return cell_records(*args)
+
+    monkeypatch.setattr(experiments, "_cell_records", counting_cell_records)
+    rows = rows_of(run_observables_experiment(spec).csv)
+    assert len(calls) == 3 * 2 * 3  # distinct (scheme, N_s) groups x repetitions
+    cs_rows = [r for r in rows if r["scheme"] == "cs"]
+    assert len(cs_rows) == 2 * 2 * 3
+    assert cs_rows[0::2] == cs_rows[1::2]
 
 
 def test_cli_bench_certify_runs(tmp_path):
