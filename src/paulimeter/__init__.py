@@ -34,7 +34,6 @@ from .states import (
     noisy_ghz,
     partial_trace,
     partial_transpose,
-    permutation_moment_oracle,
     random_mixed_state,
     sample_outcomes,
     sample_settings,

@@ -1,26 +1,27 @@
 """Exact density-matrix simulator and brute-force oracle.
 
-Every state is stored as a dense, validated 2^n x 2^n matrix
-(``DensityMatrix.mat``), and that matrix stays the ground truth: the
-expectations, reductions and moments here are dense linear algebra on it,
-deliberately direct rather than fast.  States are built only up to
-``DENSE_MAX_QUBITS`` sites; past it every constructor raises
-``FeasibilityError`` before it allocates.
+A state is held in its spectral form rho = floor*I + A A^dag, with A of
+shape (2^n, r), beside a recipe for its dense 2^n x 2^n matrix
+(``DensityMatrix.mat``).  ``ghz`` and ``admix_white_noise`` build the form
+alone (r = 1), so sampling a noisy GHZ state costs O(2^n) memory; the dense
+matrix is made only when an oracle reads ``mat``.  That matrix stays the
+ground truth: the expectations, reductions and moments here are dense
+linear algebra on it, deliberately direct rather than fast, and its recipe
+repeats the eager arithmetic term for term, so exact values do not move.
+A state given as a matrix gets its form from one eigendecomposition.
+States are built only up to ``DENSE_MAX_QUBITS`` sites; past it every
+constructor raises ``FeasibilityError`` before it allocates.
 
-Born sampling is the one hot path.  It reads each state in its spectral
-form rho = floor*I + A A^dag, with A of shape (2^n, r), and rotates only the
-r columns of A into the measured basis, one site at a time: O(n r 2^n)
-per basis instead of the O(n 4^n) of rotating rho itself.  ``ghz`` and
-``admix_white_noise`` carry their form (r = 1); any other state gets it
-from one eigendecomposition of ``mat`` on its first sample.
-``sample_outcomes`` also keeps each basis's inverse-CDF table on the state,
-so repeated settings pay only the lookup.  Measured bases travel as int8
-letter rows (1=X, 2=Y, 3=Z).  ``sample_settings`` draws the uniforms of all
-settings in one bulk pass: setting k reads the stream of
-``default_rng(parent.spawn(S)[k])``, replayed on arrays without building
-any generator, so seeded outcomes depend on numpy's SeedSequence and PCG64
-algorithms (fixed by NEP 19).  It then runs ``sample_outcomes`` once per
-distinct row.
+Born sampling is the one hot path.  It rotates only the r columns of A
+into the measured basis, one site at a time: O(n r 2^n) per basis instead
+of the O(n 4^n) of rotating rho itself.  ``sample_outcomes`` also keeps
+each basis's inverse-CDF table on the state, so repeated settings pay only
+the lookup.  Measured bases travel as int8 letter rows (1=X, 2=Y, 3=Z).
+``sample_settings`` draws the uniforms of all settings in one bulk pass:
+setting k reads the stream of ``default_rng(parent.spawn(S)[k])``,
+replayed on arrays without building any generator, so seeded outcomes
+depend on numpy's SeedSequence and PCG64 algorithms (fixed by NEP 19).  It
+then runs ``sample_outcomes`` once per distinct row.
 
 Sites are 0-based internally; :class:`SubsystemMask` speaks the 1-based
 labels used everywhere user-facing.
@@ -77,16 +78,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Validated n-qubit density matrix.
+    """n-qubit density matrix: its spectral form, a recipe for its dense
+    matrix, and that matrix once built.
 
-    Invariants checked at construction: Hermitian to 1e-10, unit trace to
-    1e-10, and (for n small enough to eigensolve) smallest eigenvalue
-    >= -1e-8.  The state also holds its spectral form once known (see
-    :meth:`spectral_form`) and the inverse-CDF tables of the bases it was
-    sampled in.
+    A matrix given to the constructor is checked: Hermitian to 1e-10, unit
+    trace to 1e-10, and (for n small enough to eigensolve) smallest
+    eigenvalue >= -1e-8.  It is its own recipe, and its form comes from
+    :meth:`spectral_form`.  ``ghz`` and ``admix_white_noise`` build states
+    that are PSD with unit trace by construction (p in [0, 1] is checked),
+    so no dense check runs; their recipe is a module-level function and its
+    arguments, run on the first read of ``mat``.  A state pickles as its
+    form and recipe, never as a built matrix, and without the inverse-CDF
+    tables of the bases it was sampled in.
     """
 
-    __slots__ = ("n", "mat", "_form", "_cdfs")
+    __slots__ = ("n", "_mat", "_recipe", "_form", "_cdfs")
 
     def __init__(self, n: int, mat: np.ndarray) -> None:
         dim = _dense_dim(n)
@@ -103,9 +109,18 @@ class DensityMatrix:
             if lo < _PSD_TOL:
                 raise ValueError(f"matrix is not PSD (min eigenvalue {lo})")
         self.n = n
-        self.mat = _frozen(mat)
+        self._mat = _frozen(mat)
+        self._recipe = (np.asarray, (mat,))
         self._form = None
         self._cdfs = {}
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense 2^n x 2^n matrix, read-only, built on first read."""
+        if self._mat is None:
+            build, args = self._recipe
+            self._mat = _frozen(build(*args))
+        return self._mat
 
     def spectral_form(self) -> tuple[float, np.ndarray]:
         """(floor, A) with mat = floor*I + A A^dag and A of shape (2^n, r).
@@ -122,8 +137,32 @@ class DensityMatrix:
             self._form = (float(lam[0]), _frozen(vecs[:, keep] * np.sqrt(lam[keep] - lam[0])))
         return self._form
 
+    def __reduce__(self):
+        return _assemble, (self.n, self._form, self._recipe)
+
     def __repr__(self) -> str:
         return f"DensityMatrix(n={self.n})"
+
+
+def _assemble(n: int, form, recipe) -> DensityMatrix:
+    """A state from its form (or None) and recipe, unchecked: the
+    constructor of ``ghz`` and ``admix_white_noise`` and the unpickler."""
+    rho = object.__new__(DensityMatrix)
+    rho.n, rho._mat, rho._recipe, rho._cdfs = n, None, recipe, {}
+    rho._form = None if form is None else (form[0], _frozen(form[1]))
+    return rho
+
+
+def _pure_matrix(a: np.ndarray) -> np.ndarray:
+    """|psi><psi| for the one column psi of A."""
+    return np.outer(a, a.conj())
+
+
+def _admixed_matrix(recipe, p: float) -> np.ndarray:
+    """(1-p) rho + p I/dim, with rho built from its recipe."""
+    build, args = recipe
+    mat = build(*args)
+    return (1.0 - p) * mat + p * np.eye(len(mat)) / len(mat)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,12 +203,10 @@ class SubsystemMask:
 
 
 def ghz(n: int) -> DensityMatrix:
-    """Pure projector onto (|0...0> + |1...1>)/sqrt(2)."""
-    vec = np.zeros(_dense_dim(n), dtype=complex)
+    """Pure projector onto (|0...0> + |1...1>)/sqrt(2), as the form (0, psi)."""
+    vec = np.zeros((_dense_dim(n), 1), dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
-    rho = DensityMatrix(n, np.outer(vec, vec.conj()))
-    rho._form = (0.0, _frozen(vec[:, None]))
-    return rho
+    return _assemble(n, (0.0, vec), (_pure_matrix, (vec,)))
 
 
 def admix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -178,11 +215,10 @@ def admix_white_noise(rho: DensityMatrix, p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight {p} outside [0, 1]")
     dim = _dense_dim(rho.n)
-    out = DensityMatrix(rho.n, (1.0 - p) * rho.mat + p * np.eye(dim) / dim)
-    if rho._form is not None:
-        floor, a = rho._form
-        out._form = ((1.0 - p) * floor + p / dim, _frozen(np.sqrt(1.0 - p) * a))
-    return out
+    form = rho._form
+    if form is not None:
+        form = ((1.0 - p) * form[0] + p / dim, np.sqrt(1.0 - p) * form[1])
+    return _assemble(rho.n, form, (_admixed_matrix, (rho._recipe, p)))
 
 
 def noisy_ghz(n: int, noise: float) -> DensityMatrix:
@@ -479,46 +515,3 @@ def random_mixed_state(n: int, rng) -> DensityMatrix:
     m /= np.trace(m).real
     m = (m + m.conj().T) / 2
     return DensityMatrix(n, m)
-
-
-def permutation_moment_oracle(rho: DensityMatrix, a: SubsystemMask, order: int) -> float:
-    """Contract the copy-permutation operators against rho^(tensor order).
-
-    Builds the forward cyclic shift on the A sites and the backward shift on
-    the B sites of ``order`` copies, then evaluates
-    Tr[Pi_A_forward Pi_B_backward rho^(x order)] index by index.  This is
-    the direct (no partial transpose) side of the PT-moment identity.
-    """
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
-    n = rho.n
-    if order * n > 12:
-        raise FeasibilityError(f"order*n = {order * n} exceeds the dense bound 12")
-    a_idx = set(a.indices)
-    dim_total = 2 ** (n * order)
-    xs = np.arange(dim_total)
-
-    # bits of global index: copy k, site j lives at position (order-1-k)*n + (n-1-j)
-    def bit(idx, k, j):
-        return (idx >> ((order - 1 - k) * n + (n - 1 - j))) & 1
-
-    # y = pi^{-1}(x): for site j in A the copies shift forward (copy k takes
-    # its bit from copy k-1), in B backward (from copy k+1)
-    ys = np.zeros_like(xs)
-    for k in range(order):
-        for j in range(n):
-            src = (k - 1) % order if j in a_idx else (k + 1) % order
-            ys |= bit(xs, src, j) << ((order - 1 - k) * n + (n - 1 - j))
-
-    # Tr[Pi rho^(x m)] = sum_x prod_k rho[copy_k(pi^{-1} x), copy_k(x)]
-    dim = 2 ** n
-    total = np.ones(dim_total, dtype=complex)
-    for k in range(order):
-        shift = (order - 1 - k) * n
-        rows = (ys >> shift) & (dim - 1)
-        cols = (xs >> shift) & (dim - 1)
-        total *= rho.mat[rows, cols]
-    result = total.sum()
-    if abs(result.imag) > 1e-10:
-        raise AssertionError(f"moment has imaginary part {result.imag}")
-    return float(result.real)

@@ -4,8 +4,10 @@ Shared by the estimator tests and the acceptance suite: every (basis,
 outcome) pair a plan can produce is listed with its probability, so
 estimator means and variances come out exact instead of sampled.  The
 per-line record parser kept here is the oracle for the array parser in
-``paulimeter.formats``, and the per-site greedy loop kept here is the oracle
-for ``paulimeter.schemes.plan_derandomized``.
+``paulimeter.formats``, the per-site greedy loop kept here is the oracle
+for ``paulimeter.schemes.plan_derandomized``, and the copy-permutation
+contraction is the direct side of the PT-moment identity that
+``paulimeter.states.exact_pt_moment`` and the shadow U-statistics meet.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from paulimeter.errors import DegenerateObservable, EmptyInput
+from paulimeter.errors import DegenerateObservable, EmptyInput, FeasibilityError
 from paulimeter.estimators import ShotBatch, per_shot_estimates
 from paulimeter.formats import _LETTER_CODES, _fail
 from paulimeter.paulis import PauliString
@@ -71,6 +73,49 @@ def sample_records(plan, rho, ns, seed, nr=1):
                                 np.random.default_rng(child).random(nr))
                 for child, row in zip(outcome_ss.spawn(ns), letters)]
     return ShotBatch(np.repeat(letters, nr, axis=0), np.concatenate(outcomes))
+
+
+def permutation_moment_oracle(rho, a, order):
+    """Contract the copy-permutation operators against rho^(tensor order).
+
+    Builds the forward cyclic shift on the A sites and the backward shift on
+    the B sites of ``order`` copies, then evaluates
+    Tr[Pi_A_forward Pi_B_backward rho^(x order)] index by index.  This is
+    the direct (no partial transpose) side of the PT-moment identity.
+    """
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    n = rho.n
+    if order * n > 12:
+        raise FeasibilityError(f"order*n = {order * n} exceeds the dense bound 12")
+    a_idx = set(a.indices)
+    dim_total = 2 ** (n * order)
+    xs = np.arange(dim_total)
+
+    # bits of global index: copy k, site j lives at position (order-1-k)*n + (n-1-j)
+    def bit(idx, k, j):
+        return (idx >> ((order - 1 - k) * n + (n - 1 - j))) & 1
+
+    # y = pi^{-1}(x): for site j in A the copies shift forward (copy k takes
+    # its bit from copy k-1), in B backward (from copy k+1)
+    ys = np.zeros_like(xs)
+    for k in range(order):
+        for j in range(n):
+            src = (k - 1) % order if j in a_idx else (k + 1) % order
+            ys |= bit(xs, src, j) << ((order - 1 - k) * n + (n - 1 - j))
+
+    # Tr[Pi rho^(x m)] = sum_x prod_k rho[copy_k(pi^{-1} x), copy_k(x)]
+    dim = 2 ** n
+    total = np.ones(dim_total, dtype=complex)
+    for k in range(order):
+        shift = (order - 1 - k) * n
+        rows = (ys >> shift) & (dim - 1)
+        cols = (xs >> shift) & (dim - 1)
+        total *= rho.mat[rows, cols]
+    result = total.sum()
+    if abs(result.imag) > 1e-10:
+        raise AssertionError(f"moment has imaginary part {result.imag}")
+    return float(result.real)
 
 
 def parse_records_loop(path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from enumtools import enumerate_moments, weighted_shots
+from enumtools import enumerate_moments, permutation_moment_oracle, weighted_shots
 from paulimeter.estimators import (
     ShotBatch,
     ShotRecord,
@@ -49,7 +49,6 @@ from paulimeter.states import (
     exact_expectation,
     exact_pt_moment,
     ghz,
-    permutation_moment_oracle,
     random_mixed_state,
 )
 

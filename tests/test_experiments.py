@@ -36,8 +36,8 @@ from paulimeter.formats import (
 )
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
 from paulimeter.schemes import plan_derandomized
-from paulimeter.shadows import ShadowSet
-from paulimeter.states import SubsystemMask
+from paulimeter.shadows import ShadowSet, collect_shadows
+from paulimeter.states import DensityMatrix, SubsystemMask, noisy_ghz
 
 P = PauliString.from_text
 
@@ -460,6 +460,26 @@ def test_cli_bench_certify_runs(tmp_path):
     rows = rows_of(out.read_text())
     assert len(rows) == 4
     assert set(r["mask"] for r in rows) == {"1", "1-2"}
+
+
+def test_sampling_paths_never_build_the_dense_state(tmp_path, monkeypatch):
+    def refuse(rho):
+        raise AssertionError(f"built the dense matrix of {rho!r}")
+
+    monkeypatch.setattr(DensityMatrix, "mat", property(refuse))
+    plan_path = tmp_path / "plan.json"
+    for args in (["plan", "--scheme", "ldf", "--hamiltonian", "builtin:lattice4",
+                  "--out", str(plan_path)],
+                 ["sample", "--plan", str(plan_path), "--ns", "30", "--out", str(tmp_path / "s.rec")],
+                 ["shadows", "--qubits", "6", "--ns", "30", "--out", str(tmp_path / "sh.rec")],
+                 ["bench", "certify", "--ns", "30", "--reps", "2", "--mask", "1,2",
+                  "--out", str(tmp_path / "c.csv")]):
+        assert run_cli(args).exit_code == 0
+    rho = noisy_ghz(4, 0.1)
+    collect_shadows(rho, 30, 1)
+    plan = read_plan(str(plan_path))
+    experiments._cell_records(rho, plan, 30, 2, np.random.SeedSequence(3))
+    assert rho._mat is None
 
 
 def test_cli_exit_codes(tmp_path):

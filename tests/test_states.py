@@ -1,6 +1,7 @@
 """Exact-simulator oracle checks: Born sampling, reductions, moments."""
 
 import itertools
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumtools import permutation_moment_oracle
 from paulimeter.errors import DimensionMismatch, FeasibilityError
 from paulimeter.paulis import PauliString, WeightedPauliSum, _row_keys
 from paulimeter.states import (
@@ -24,7 +26,6 @@ from paulimeter.states import (
     noisy_ghz,
     partial_trace,
     partial_transpose,
-    permutation_moment_oracle,
     random_mixed_state,
     sample_outcomes,
     sample_settings,
@@ -192,6 +193,37 @@ def test_eigh_spectral_form_reproduces_matrix():
 def test_noisy_ghz_is_ghz_with_white_noise():
     np.testing.assert_array_equal(noisy_ghz(3, 0.2).mat, admix_white_noise(ghz(3), 0.2).mat)
     np.testing.assert_array_equal(noisy_ghz(3, 0.0).mat, ghz(3).mat)
+    # the lazily built matrix is the eager construction, down to signed zeros
+    for n in range(1, 9):
+        dim = 2 ** n
+        vec = np.zeros(dim, dtype=complex)
+        vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
+        pure = np.outer(vec, vec.conj())
+        for p in (0.0, 0.1, 0.5, 1.0):
+            eager = pure if p == 0.0 else (1.0 - p) * pure + p * np.eye(dim) / dim
+            rho = noisy_ghz(n, p)
+            assert rho._mat is None
+            np.testing.assert_array_equal(rho.mat, eager)
+            assert rho.mat.tobytes() == eager.tobytes() and not rho.mat.flags.writeable
+
+
+def test_states_pickle_as_their_form():
+    rho = noisy_ghz(10, 0.1)
+    before = pickle.dumps(rho)
+    built = rho.mat
+    after = pickle.dumps(rho)
+    assert max(len(before), len(after)) < 64 * 1024
+    back = pickle.loads(after)
+    assert back._mat is None
+    letters = np.random.default_rng(4).integers(1, 4, size=(20, 10), dtype=np.int8)
+    np.testing.assert_array_equal(sample_settings(back, letters, 3, np.random.SeedSequence(5)),
+                                  sample_settings(rho, letters, 3, np.random.SeedSequence(5)))
+    np.testing.assert_array_equal(back.mat, built)
+    assert not back.mat.flags.writeable and not back.spectral_form()[1].flags.writeable
+    # a state given as a matrix travels with it, and its noisy version too
+    mixed = random_mixed_state(3, np.random.default_rng(6))
+    for state in (mixed, admix_white_noise(mixed, 0.3)):
+        np.testing.assert_array_equal(pickle.loads(pickle.dumps(state)).mat, state.mat)
 
 
 def test_memoized_sampling_matches_fresh_state():
@@ -404,8 +436,10 @@ def test_noise_helpers():
 
 def test_random_mixed_state_is_valid():
     rng = np.random.default_rng(2)
-    for n in (1, 2, 3):
-        rho = random_mixed_state(n, rng)
+    states = [random_mixed_state(n, rng) for n in (1, 2, 3)]
+    # noisy GHZ matrices are built from the form, unchecked, so check them here
+    states += [noisy_ghz(n, p) for n in (1, 3, 6) for p in (0.0, 0.1, 0.5, 1.0)]
+    for rho in states:
         assert np.trace(rho.mat) == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) < 1e-10
         assert np.linalg.eigvalsh(rho.mat)[0] > -1e-10
