@@ -5,9 +5,12 @@ outcome) pair a plan can produce is listed with its probability, so
 estimator means and variances come out exact instead of sampled.  The
 per-line record parser kept here is the oracle for the array parser in
 ``paulimeter.formats``, the per-site greedy loop kept here is the oracle
-for ``paulimeter.schemes.plan_derandomized``, and the copy-permutation
-contraction is the direct side of the PT-moment identity that
-``paulimeter.states.exact_pt_moment`` and the shadow U-statistics meet.
+for ``paulimeter.schemes.plan_derandomized``, the one-basis rotation loop kept
+here is the oracle for the stacked Born kernel ``paulimeter.states._born_rows``,
+the closed-form noisy-GHZ Born law is an oracle for both that shares no
+code with them, and the copy-permutation contraction is the direct side of
+the PT-moment identity that ``paulimeter.states.exact_pt_moment`` and the
+shadow U-statistics meet.
 """
 
 import itertools
@@ -20,7 +23,7 @@ from paulimeter.estimators import ShotBatch, per_shot_estimates
 from paulimeter.formats import _LETTER_CODES, _fail
 from paulimeter.paulis import PauliString
 from paulimeter.schemes import MeasurementPlan
-from paulimeter.states import born_distribution, sample_outcomes
+from paulimeter.states import _EIGBASIS, born_distribution, sample_outcomes
 
 
 def weighted_shots(plan, rho):
@@ -73,6 +76,40 @@ def sample_records(plan, rho, ns, seed, nr=1):
                                 np.random.default_rng(child).random(nr))
                 for child, row in zip(outcome_ss.spawn(ns), letters)]
     return ShotBatch(np.repeat(letters, nr, axis=0), np.concatenate(outcomes))
+
+
+def born_distribution_loop(rho, basis):
+    """Born distribution of one full-weight basis, rotating the columns of
+    A one site at a time: site i is the middle axis of a (2^i, 2, rest)
+    view, and matmul broadcasts the 2x2 rotation over the leading one."""
+    n = rho.n
+    floor, amp = rho.spectral_form()
+    r = amp.shape[1]
+    for i in range(n):
+        amp = np.matmul(_EIGBASIS[basis.code(i)], amp.reshape(2 ** i, 2, 2 ** (n - 1 - i) * r))
+    amp = amp.reshape(2 ** n, r)
+    probs = floor + np.sum(amp.real ** 2 + amp.imag ** 2, axis=1)
+    probs[probs < 0] = 0.0
+    return probs / probs.sum()
+
+
+def noisy_ghz_born(n, p, codes):
+    """Born law of noisy_ghz(n, p) in the full-weight basis of letter codes
+    (1=X, 2=Y, 3=Z), from the closed form (1-p) q(b) + p/2^n.  With a Z in
+    the basis, q(b) = 2^-(n-#Z)-1 when the bits on the Z sites agree and 0
+    otherwise; with none, q(b) = (1 + Re[(-i)^#Y] (-1)^(sum of b)) / 2^n."""
+    codes = list(codes)
+    zs = [i for i, c in enumerate(codes) if c == 3]
+    ys = codes.count(2)
+    q = []
+    for b in range(2 ** n):
+        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
+        if zs:
+            agree = len({bits[i] for i in zs}) == 1
+            q.append(2.0 ** -(n - len(zs) + 1) if agree else 0.0)
+        else:
+            q.append((1 + ((-1j) ** ys).real * (-1) ** sum(bits)) / 2 ** n)
+    return (1 - p) * np.array(q) + p / 2 ** n
 
 
 def permutation_moment_oracle(rho, a, order):

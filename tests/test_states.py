@@ -1,7 +1,9 @@
 """Exact-simulator oracle checks: Born sampling, reductions, moments."""
 
+import functools
 import itertools
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumtools import permutation_moment_oracle
+from enumtools import born_distribution_loop, noisy_ghz_born, permutation_moment_oracle
+from paulimeter import states
 from paulimeter.errors import DimensionMismatch, FeasibilityError
 from paulimeter.paulis import PauliString, WeightedPauliSum, _row_keys
 from paulimeter.states import (
@@ -30,7 +33,7 @@ from paulimeter.states import (
     sample_outcomes,
     sample_settings,
 )
-from paulimeter.states import _child_uniforms
+from paulimeter.states import _BORN_BLOCK_ENTRIES, _born_rows, _child_uniforms
 
 P = PauliString.from_text
 
@@ -162,6 +165,49 @@ def test_born_random_bases_match_explicit_rotation(n):
                                        err_msg=f"{name} in {text}")
 
 
+@functools.cache
+def _cases_at(n):
+    return _sampler_cases(n, np.random.default_rng(200 + n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8),
+       name=st.sampled_from(("ghz", "ghz p=0.05", "ghz p=0.5", "ghz p=1.0", "random mixed",
+                             "pure", "rank 2")),
+       size=st.sampled_from((0, -1, 1)), single=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=8, name="ghz p=0.05", size=1, single=False, seed=0)
+@example(n=1, name="ghz", size=1, single=False, seed=0)
+def test_stacked_born_rows_match_the_one_basis_loop(n, name, size, single, seed):
+    # G rows at once: one row, or a block of stacked rows and one either side
+    rho = _cases_at(n)[name]
+    block = max(1, _BORN_BLOCK_ENTRIES // (2 ** n * max(rho.spectral_form()[1].shape[1], 1)))
+    g = 1 if single else max(block + size, 1)
+    rows = np.random.default_rng(seed).integers(1, 4, size=(g, n), dtype=np.int8)
+    stacked = _born_rows(rho, rows)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    one = np.array([_born_rows(rho, rows[k][None])[0] for k in first])
+    assert stacked.shape == (g, 2 ** n)
+    assert stacked.tobytes() == one[inverse.ravel()].tobytes()
+    loop = np.array([born_distribution_loop(rho, PauliString.from_codes(rows[k])) for k in first])
+    if name.startswith("ghz"):
+        assert one.tobytes() == loop.tobytes()
+    else:
+        assert np.max(np.abs(one - loop)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 1.0])
+def test_born_matches_the_closed_form_noisy_ghz_law(p):
+    rng = np.random.default_rng(22)
+    for n in range(1, 9):
+        rho = noisy_ghz(n, p)
+        rows = (itertools.product((1, 2, 3), repeat=n) if n <= 4
+                else rng.integers(1, 4, size=(50, n)))
+        for row in rows:
+            np.testing.assert_allclose(born_distribution(rho, PauliString.from_codes(row)),
+                                       noisy_ghz_born(n, p, row), rtol=0, atol=1e-12,
+                                       err_msg=f"n={n} basis {row}")
+
+
 def test_known_spectral_forms_reproduce_matrix(monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("a GHZ-family state reached eigh")
@@ -238,11 +284,57 @@ def test_memoized_sampling_matches_fresh_state():
 
 
 def test_sampling_memo_is_capped_per_state():
+    # 4,200 distinct n=8 rows overflow the 2^20-entry memo, one by one and in
+    # sample_settings' stacked blocks alike, and the rows past the cap are
+    # sampled from the same probabilities on the one-row path
+    letters = np.array(list(itertools.islice(itertools.product((1, 2, 3), repeat=8), 4200)),
+                       dtype=np.int8)
+    children = np.random.SeedSequence(11).spawn(len(letters))
     rho = ghz(8)
-    for codes in itertools.islice(itertools.product((1, 2, 3), repeat=8), 4200):
-        sample_outcomes(rho, PauliString.from_codes(codes), uniforms(1, 0))
-    assert len(rho._cdfs) == 2 ** 20 // 2 ** 8
+    loop = np.concatenate([sample_outcomes(rho, PauliString.from_codes(row), uniforms(1, child))
+                           for row, child in zip(letters, children)])
+    stacked = ghz(8)
+    np.testing.assert_array_equal(sample_settings(stacked, letters, 1, np.random.SeedSequence(11)),
+                                  loop)
+    assert len(rho._cdfs) == len(stacked._cdfs) == 2 ** 20 // 2 ** 8
     assert len(ghz(8)._cdfs) == 0
+
+
+def test_sample_settings_calls_sample_outcomes_once_per_distinct_row(monkeypatch):
+    seen = []
+    real = states.sample_outcomes
+
+    def counting(rho, basis, draws):
+        seen.append(basis)
+        return real(rho, basis, draws)
+
+    monkeypatch.setattr(states, "sample_outcomes", counting)
+    rng = np.random.default_rng(12)
+    distinct = np.unique(rng.integers(1, 4, size=(40, 6), dtype=np.int8), axis=0)
+    letters = distinct[rng.integers(0, len(distinct), size=300)]
+    rho = noisy_ghz(6, 0.1)
+    for _ in range(2):  # the second pass finds every row in the memo
+        seen.clear()
+        sample_settings(rho, letters, 2, np.random.SeedSequence(4))
+        assert all(isinstance(basis, PauliString) for basis in seen)
+        assert sorted((b.x, b.z) for b in seen) == sorted(
+            {(b.x, b.z) for b in map(PauliString.from_codes, letters)})
+
+
+def test_sample_settings_memory_beyond_the_memo_is_bounded():
+    # the stacked Born blocks add at most 1 MiB to what the memo keeps
+    rng = np.random.default_rng(13)
+    letters = np.unique(rng.integers(1, 4, size=(320, 8), dtype=np.int8), axis=0)[:300]
+    assert len(letters) == 300
+    rho = noisy_ghz(8, 0.1)
+    tracemalloc.start()
+    try:
+        sample_settings(rho, letters, 1, np.random.SeedSequence(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rho._cdfs) == 300
+    assert peak - sum(cdf.nbytes for cdf in rho._cdfs.values()) <= 2 ** 20
 
 
 def test_born_distribution_is_fresh_and_writable():
