@@ -20,8 +20,13 @@ at alpha = 5/2 below, and Tr[T3] = N 7^n.
 Per set, built once and kept on the ShadowSet: T1, S_all(5/2), the purity
 sum S_all(1/2) behind p2, and every pair sum asked for.  Per mask: the
 index-swap transpose of T1, Tr[T1^3] (two 2^n matmuls) and its own purity.
-T1 and the feature-map pair sums are both Kronecker sums over snapshots of
-per-site factors, built by the one chunked kernel _kron_sum.
+T1 is summed over the tree of snapshot prefixes: the snapshots that share
+their codes on sites 0..d-1 share one Kronecker block on sites d..n-1.
+Every factor entry is a multiple of 1/2 of size at most 2, so every partial
+sum of T1 is a multiple of 2^-n below N 2^n and is exact while
+N 4^n < 2^53: T1 is then the same in any summation order.  The feature-map
+pair sums are Kronecker sums too; their entries are multiples of 1/sqrt(2),
+so they keep the fixed order of the chunked kernel _kron_sum.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ if np.abs(np.linalg.eigvalsh(_FACTOR) - [-1.0, 2.0]).max() > 1e-12:
 
 _MAX_DENSE_QUBITS = 10
 _MC_CHUNK = 1 << 16
+_KRON_BYTES = 1 << 25  # largest stack of Kronecker blocks built at once
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,9 @@ class ShadowSet(ShotBatch):
     """Ordered snapshot collection: a shot batch with every reps = 1.
 
     ``letters[k, i]`` is the measured Pauli letter code (1=X, 2=Y, 3=Z) on
-    site i of snapshot k; ``signs[k, i]`` is the outcome eigenvalue +-1.
-    ``seed_info`` records how the set was generated.
+    site i of snapshot k; ``signs[k, i]`` is the outcome eigenvalue +-1,
+    stored as the outcome bit.  ``seed_info`` records how the set was
+    generated.
     """
 
     def __init__(self, n: int, letters, signs, seed_info: str = ""):
@@ -103,12 +110,22 @@ class ShadowSet(ShotBatch):
             raise DimensionMismatch("letters and signs must both be (N, n)")
         if signs.size and not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1")
-        super().__init__(letters, signs < 0)
+        self._init_bits(letters, signs < 0, seed_info)
+
+    def _init_bits(self, letters, bits, seed_info: str) -> None:
+        super().__init__(letters, bits)
         self.seed_info = seed_info
         self._sums: dict = {}  # per-set memo of _snapshot_sum and _pair_sum
 
+    @classmethod
+    def _from_bits(cls, letters, bits, seed_info: str = "") -> "ShadowSet":
+        """The set of (N, n) letter codes and outcome bits, without signs."""
+        shadows = cls.__new__(cls)
+        shadows._init_bits(letters, bits, seed_info)
+        return shadows
+
     def __reduce__(self):
-        return type(self), (self.n, self.letters, self.signs, self.seed_info)
+        return type(self)._from_bits, (self.letters, self.bits, self.seed_info)
 
     @property
     def signs(self) -> np.ndarray:
@@ -122,9 +139,8 @@ class ShadowSet(ShotBatch):
         """Expand a shot batch (reps included) into one snapshot per shot."""
         if len(records) == 0:
             raise EmptyInput("no records to build shadows from")
-        letters = np.repeat(records.letters, records.reps, axis=0)
-        signs = 1 - 2 * np.repeat(records.bits, records.reps, axis=0).astype(np.int8)
-        return cls(records.n, letters, signs, seed_info)
+        return cls._from_bits(np.repeat(records.letters, records.reps, axis=0),
+                              np.repeat(records.bits, records.reps, axis=0), seed_info)
 
     def records(self) -> ShotBatch:
         """The set as a shot batch, one row per snapshot (lossless)."""
@@ -138,8 +154,7 @@ def collect_shadows(rho: DensityMatrix, ns: int, seed) -> ShadowSet:
         raise ValueError("ns must be >= 1")
     letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
     bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed))
-    return ShadowSet(rho.n, letters, 1 - 2 * bits.astype(np.int8),
-                     seed_info=f"mode=pauli seed={seed} ns={ns}")
+    return ShadowSet._from_bits(letters, bits, f"mode=pauli seed={seed} ns={ns}")
 
 
 def _require(shadows: ShadowSet, least: int, what: str) -> int:
@@ -159,10 +174,11 @@ def _snapshot_sum(shadows: ShadowSet) -> np.ndarray:
 
 def _kron_sum(rows: np.ndarray) -> np.ndarray:
     """sum_k kron_j rows[k, j] over an (N, m, a, b) stack of per-site
-    factors, in row chunks of at most 32 MiB of Kronecker products."""
+    factors, in row chunks of at most _KRON_BYTES of Kronecker products.
+    The feature-map pair sums use it; T1 has its own grouped kernel."""
     count, m, a, b = rows.shape
     total = np.zeros((a ** m, b ** m), dtype=rows.dtype)
-    chunk = max(1, (1 << 25) // (rows.itemsize * total.size))
+    chunk = max(1, _KRON_BYTES // (rows.itemsize * total.size))
     for lo in range(0, count, chunk):
         block = rows[lo : lo + chunk]
         out = block[:, 0]
@@ -175,7 +191,52 @@ def _kron_sum(rows: np.ndarray) -> np.ndarray:
 
 def _build_snapshot_sum(shadows: ShadowSet) -> np.ndarray:
     """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
-    return _kron_sum(_FACTOR[shadows.letters - 1, shadows.bits])
+    return _prefix_sum(2 * (shadows.letters.astype(np.int64) - 1) + shadows.bits)
+
+
+def _prefix_sum(codes: np.ndarray) -> np.ndarray:
+    """S = sum_k kron_j F[codes[k, j]] over (count, m) snapshot code rows.
+
+    S = sum_c kron(F_c, S_c), with S_c the sum over the rows that lead with
+    code c.  When count blocks of 4^m complex entries fit in _KRON_BYTES,
+    the rows are grouped in one pass; otherwise they are split on their
+    leading code, and each kron(F_c, S_c) is added into the output one
+    entry of F_c at a time.
+    """
+    count, m = codes.shape
+    if m == 0 or count * 16 * 4 ** m <= _KRON_BYTES:
+        return _grouped_sum(codes)
+    half = 1 << (m - 1)
+    total = np.zeros((2 * half, 2 * half), dtype=complex)
+    quarters = total.reshape(2, half, 2, half)
+    lead = codes[:, 0]
+    for c in np.unique(lead):
+        child = _prefix_sum(codes[lead == c, 1:])
+        for (a, b), f in np.ndenumerate(_FACTOR[c // 2, c % 2]):
+            quarters[a, :, b, :] += f * child
+    return total
+
+
+def _grouped_sum(codes: np.ndarray) -> np.ndarray:
+    """_prefix_sum breadth-first: the distinct code rows with their counts,
+    then from the last site on, one kron of each group's code factor with
+    its block and one sum of the groups that share the shorter prefix."""
+    count, m = codes.shape
+    keys = np.zeros(count, dtype=np.int64)
+    for j in range(m):
+        keys = 6 * keys + codes[:, j]
+    keys, counts = np.unique(keys, return_counts=True)
+    blocks = counts.astype(complex).reshape(-1, 1, 1)
+    for _ in range(m):
+        groups, size = len(keys), 2 * blocks.shape[1]
+        # einsum adds each product onto a zeroed output, so no entry is -0,
+        # as none is in a sum started from zeros
+        kron = np.einsum("gab,gcd->gacbd", _FACTOR.reshape(6, 2, 2)[keys % 6], blocks)
+        keys //= 6
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        blocks = np.add.reduceat(kron.reshape(groups, size, size), starts, axis=0)
+        keys = keys[starts]
+    return blocks[0]
 
 
 def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:

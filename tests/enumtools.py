@@ -8,9 +8,11 @@ per-line record parser kept here is the oracle for the array parser in
 for ``paulimeter.schemes.plan_derandomized``, the one-basis rotation loop kept
 here is the oracle for the stacked Born kernel ``paulimeter.states._born_rows``,
 the closed-form noisy-GHZ Born law is an oracle for both that shares no
-code with them, and the copy-permutation contraction is the direct side of
+code with them, the copy-permutation contraction is the direct side of
 the PT-moment identity that ``paulimeter.states.exact_pt_moment`` and the
-shadow U-statistics meet.
+shadow U-statistics meet, and the one-Kronecker-product-per-snapshot sum
+kept here is the oracle for the prefix-grouped snapshot sum T1 in
+``paulimeter.shadows``.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from paulimeter.estimators import ShotBatch, per_shot_estimates
 from paulimeter.formats import _LETTER_CODES, _fail
 from paulimeter.paulis import PauliString
 from paulimeter.schemes import MeasurementPlan
+from paulimeter.shadows import _FACTOR, _kron_sum
 from paulimeter.states import _EIGBASIS, born_distribution, sample_outcomes
 
 
@@ -110,6 +113,12 @@ def noisy_ghz_born(n, p, codes):
         else:
             q.append((1 + ((-1j) ** ys).real * (-1) ** sum(bits)) / 2 ** n)
     return (1 - p) * np.array(q) + p / 2 ** n
+
+
+def snapshot_sum_kron(shadows):
+    """T1 = sum_k kron_j F_kj of a ShadowSet, one 2^n x 2^n Kronecker product
+    per snapshot, summed in row chunks from a zero matrix."""
+    return _kron_sum(_FACTOR[shadows.letters - 1, shadows.bits])
 
 
 def permutation_moment_oracle(rho, a, order):

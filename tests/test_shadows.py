@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import paulimeter.shadows as shadows_module
-from enumtools import weighted_shots
+from enumtools import snapshot_sum_kron, weighted_shots
 from paulimeter.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -166,10 +168,48 @@ def random_set(n: int, count: int, seed: int) -> ShadowSet:
 
 
 def test_snapshot_sum_across_chunks_matches_dense_snapshots():
-    # 600 snapshots at n=6 span two 512-row chunks of the Kronecker sum
+    # 600 snapshots at n=6 are a 37.5 MiB stack of blocks, past the 32 MiB
+    # budget: T1 is split on site 0 and each subtree is grouped on its own
     sh = random_set(6, 600, 9)
     want = sum(sh[k].to_matrix() for k in range(len(sh)))
     np.testing.assert_allclose(_build_snapshot_sum(sh), want, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), count=st.integers(1, 700),
+       letters=st.sampled_from(((3,), (1,), (2, 3), (1, 2), (1, 2, 3))),
+       signs=st.sampled_from(((1,), (-1, 1))),
+       budget=st.sampled_from((0, 1 << 10, 1 << 16, shadows_module._KRON_BYTES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=7, count=700, letters=(1, 2, 3), signs=(-1, 1), budget=1 << 16, seed=0)
+@example(n=6, count=300, letters=(1, 2, 3), signs=(-1, 1), budget=shadows_module._KRON_BYTES,
+         seed=1)
+@example(n=1, count=1, letters=(3,), signs=(-1, 1), budget=0, seed=2)
+def test_grouped_snapshot_sum_equals_the_kron_stack(n, count, letters, signs, budget, seed):
+    # every partial sum is exact, so the grouped order gives the same bytes,
+    # signed zeros included; budget 0 splits on the leading site at every depth
+    rng = np.random.default_rng(seed)
+    sh = ShadowSet(n, rng.choice(letters, (count, n)), rng.choice(signs, (count, n)))
+    want = snapshot_sum_kron(sh)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shadows_module, "_KRON_BYTES", budget)
+        got = _build_snapshot_sum(sh)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, limit_mib", [(6, 2), (10, 48)])
+def test_snapshot_sum_memory_is_bounded(n, limit_mib):
+    # a per-snapshot Kronecker stack peaks at 23.9 MiB (n=6) and over
+    # 60 MiB (n=10); T1 itself is 64 KiB and 16 MiB
+    sh = random_set(n, 300, 11)
+    tracemalloc.start()
+    try:
+        _build_snapshot_sum(sh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
 
 
 def test_feature_map_pair_sum_across_chunks_matches_pair_table():
