@@ -17,6 +17,7 @@ moments g[l, l'] = E_P[f(P, O_l) f(P, O_l')] and hands them to one kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,10 @@ from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, _row_keys, multip
 from .schemes import BasisDistribution, MeasurementPlan
 from .states import DensityMatrix, exact_expectation
 
+# rows per block of the estimator kernel: a 10^4-row sweep cell stays one
+# block, and a block's temporaries stay below a MiB
+_BLOCK_ROWS = 2 ** 14
+
 
 class ShotBatch:
     """Shot data as arrays, one row per measurement event.
@@ -41,15 +46,27 @@ class ShotBatch:
     an int8 (N, n) array, ``bits`` the outcome bits as a uint8 (N, n) array,
     and ``reps`` the int64 (N,) multiplicities: a row with reps=r stands for
     r unit shots that produced the same basis and the same outcome.  The
-    arrays are copied, validated and made read-only once, here; indexing
-    and iteration give ShotRecord row views.
+    constructor copies its arrays; the package's own builders hand theirs
+    over through ``_owned``.  Either way they are validated and made
+    read-only once, here; indexing and iteration give ShotRecord row views.
     """
 
     def __init__(self, letters, bits, reps=None) -> None:
         letters = np.array(letters, dtype=np.int8)
-        bits = np.array(bits, dtype=np.uint8)
         reps = np.ones(len(letters)) if reps is None else reps
-        reps = np.array(reps, dtype=np.int64)
+        self._adopt(letters, np.array(bits, dtype=np.uint8), np.array(reps, dtype=np.int64))
+
+    @classmethod
+    def _owned(cls, letters, bits, reps) -> "ShotBatch":
+        """A batch over arrays that the caller has just built and no one else
+        holds: validated and frozen like the constructor's, but not copied."""
+        batch = cls.__new__(cls)
+        batch._adopt(np.asarray(letters, dtype=np.int8), np.asarray(bits, dtype=np.uint8),
+                     np.asarray(reps, dtype=np.int64))
+        return batch
+
+    def _adopt(self, letters: np.ndarray, bits: np.ndarray, reps: np.ndarray) -> None:
+        """Validate the arrays, freeze them and keep them as the batch's own."""
         if letters.ndim != 2 or bits.shape != letters.shape or reps.shape != letters.shape[:1]:
             raise ValueError(f"letters {letters.shape}, bits {bits.shape} and reps {reps.shape} "
                              "must be (N, n), (N, n) and (N,)")
@@ -125,15 +142,21 @@ def _entry_of(o: WeightedPauliSum, plan: MeasurementPlan) -> np.ndarray:
 
 
 def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
-    """The estimator kernel: for each term O_l of o, in order, yield the rows
-    that enter its estimate, their mu(b, supp O_l) = +-1, and the weight
-    f(P, O_l, K) for which f * sum(reps * mu) / shots is the term's estimate.
+    """The estimator kernel, walked over blocks of at most ``_BLOCK_ROWS``
+    rows.  Returns each term's weight f(P, O_l, K), for which
+    f * sum(reps * mu) / shots is the term's estimate, and a generator of
+    blocks (lo, hi, per_term).  ``per_term`` yields, for each term O_l of o
+    in order, the mask of the block's rows that enter its estimate and their
+    mu(b, supp O_l) = +-1.
 
     Explicit plans: the rows measured in the entry that owns the term, with
     f = 1/K(entry); a term the plan does not own gets no rows.  Product
     plans: the rows whose basis hits the term, with f the product over the
     support of 1/K_i(P_i).  Fixed-bases plans: the rows that hit the term,
-    with f = shots/s_l, which turns the mean into the average over hits.
+    with f = shots/s_l, which turns the mean into the average over hits;
+    it waits for the hit counts, so the weights are None.  The first row
+    that the plan could not have measured raises ForeignRecord when its
+    block is reached.
     """
     if o.n != plan.n:
         raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
@@ -141,62 +164,88 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
         raise EmptyInput("no records to estimate from")
     if batch.n != plan.n:
         raise DimensionMismatch(f"records of n={batch.n} do not fit plan n={plan.n}")
-    letters, reps, dist = batch.letters, batch.reps, plan.distribution
+    dist = plan.distribution
     kind = "fixed" if plan.scheme == "derand" else dist.kind
+    weights = None
     if kind == "fixed":
         nb = len(plan.fixed_bases)
         if nb == 0 or len(batch) % nb != 0:
             raise PlanMismatch(f"{len(batch)} records do not cover {nb} planned settings evenly")
         nr = len(batch) // nb
-        planned = np.repeat(plan.letters, nr, axis=0)
-        wrong = np.flatnonzero(np.any(letters != planned, axis=1))
-        if wrong.size:
-            k = int(wrong[0])
-            raise ForeignRecord(f"record basis {batch[k].basis} does not match planned basis "
-                                f"{plan.fixed_bases[k // nr]} (setting {k // nr})")
     elif kind == "explicit":
         entry_of = _entry_of(o, plan)
         entry_keys = _row_keys(plan.letters)
-        keys = _row_keys(letters)
         order = np.argsort(entry_keys)
-        ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order), len(order) - 1)]
-        foreign = np.flatnonzero(entry_keys[ids] != keys)
-        if foreign.size:
-            raise ForeignRecord(f"basis {batch[int(foreign[0])].basis} is not an entry of the plan")
-    for l, codes in enumerate(o.letters):
-        supp = np.flatnonzero(codes)
-        if kind == "explicit":
-            e = entry_of[l]
-            rows = ids == e
-            f = 1.0 / dist.explicit[e][1] if e >= 0 else 0.0
-        else:
-            rows = np.all(letters[:, supp] == codes[supp], axis=1)
-            if kind == "fixed":
-                hit = int(reps[rows].sum())
-                f = batch.shots / hit if hit else 0.0
+        weights = [1.0 / dist.explicit[e][1] if e >= 0 else 0.0 for e in entry_of]
+    else:
+        weights = []
+        for codes in o.letters:
+            f = 1.0
+            for i in np.flatnonzero(codes):
+                f /= dist.product[i, codes[i] - 1]
+            weights.append(f)
+    supports = [np.flatnonzero(codes) for codes in o.letters]
+
+    def per_term(letters, bits, ids):
+        for l, (codes, supp) in enumerate(zip(o.letters, supports)):
+            if kind == "explicit":
+                rows = ids == entry_of[l]
             else:
-                f = 1.0
-                for i in supp:
-                    f /= dist.product[i, codes[i] - 1]
-        parity = batch.bits[rows][:, supp].sum(axis=1) & 1
-        yield rows, 1.0 - 2.0 * parity, f
+                rows = np.all(letters[:, supp] == codes[supp], axis=1)
+            parity = bits[rows][:, supp].sum(axis=1) & 1
+            yield rows, 1.0 - 2.0 * parity
+
+    def blocks():
+        for lo in range(0, len(batch), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(batch))
+            letters, ids = batch.letters[lo:hi], None
+            if kind == "fixed":
+                planned = plan.letters[np.arange(lo, hi) // nr]
+                wrong = np.flatnonzero(np.any(letters != planned, axis=1))
+                if wrong.size:
+                    k = lo + int(wrong[0])
+                    raise ForeignRecord(f"record basis {batch[k].basis} does not match planned "
+                                        f"basis {plan.fixed_bases[k // nr]} (setting {k // nr})")
+            elif kind == "explicit":
+                keys = _row_keys(letters)
+                ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order),
+                                       len(order) - 1)]
+                foreign = np.flatnonzero(entry_keys[ids] != keys)
+                if foreign.size:
+                    raise ForeignRecord(f"basis {batch[lo + int(foreign[0])].basis} "
+                                        "is not an entry of the plan")
+            yield lo, hi, per_term(letters, batch.bits[lo:hi], ids)
+
+    return weights, blocks()
 
 
 def per_shot_estimates(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum) -> np.ndarray:
     """o_hat for every row (in row order; reps NOT expanded)."""
-    return _shot_values(batch, plan, o)[0]
+    values = np.empty(len(batch))
+    for lo, block in _shot_values(batch, plan, o, np.zeros(len(o), dtype=np.int64)):
+        values[lo:lo + len(block)] = block
+    return values
 
 
-def _shot_values(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
-    """o_hat per row and the hit counts s_l, in one pass over the kernel."""
+def _shot_values(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum, s_l: np.ndarray):
+    """o_hat per row, as (lo, values) blocks in row order; each block adds
+    its hit counts into s_l before it is yielded.  The arguments are checked
+    at once, the rows as the blocks are drawn."""
     if plan.scheme == "derand":
         raise PlanMismatch("per-shot estimation applies to randomized plans")
-    values = np.zeros(len(batch))
-    s_l = np.zeros(len(o), dtype=np.int64)
-    for l, (coeff, (rows, mu, f)) in enumerate(zip(o.coeffs, _terms(batch, plan, o))):
-        s_l[l] = batch.reps[rows].sum()
-        values[rows] += coeff * f * mu
-    return values, s_l
+    weights, blocks = _terms(batch, plan, o)
+    scales = [coeff * f for coeff, f in zip(o.coeffs, weights)]
+
+    def values():
+        for lo, hi, per_term in blocks:
+            reps = batch.reps[lo:hi]
+            block = np.zeros(hi - lo)
+            for l, (rows, mu) in enumerate(per_term):
+                s_l[l] += reps[rows].sum()
+                block[rows] += scales[l] * mu
+            yield lo, block
+
+    return values()
 
 
 def per_term_expectations(
@@ -208,14 +257,26 @@ def per_term_expectations(
     For randomized plans a term's estimate is the all-shots mean of its
     kernel contribution; for fixed-bases plans it is the signed-outcome
     average over hitting shots (0.0 when never hit, flagged by s_l = 0).
+    The hit counts and the sums of reps * mu add up block by block; they
+    are integers, exact in any order while the shot count is below 2^53.
     """
-    reps = batch.reps.astype(float)
-    vals = np.zeros(len(o))
+    weights, blocks = _terms(batch, plan, o)
+    hits = np.zeros(len(o), dtype=np.int64)
     s_l = np.zeros(len(o))
-    for l, (rows, mu, f) in enumerate(_terms(batch, plan, o)):
-        s_l[l] = reps[rows].sum()
-        if s_l[l] > 0:
-            vals[l] = f * float(np.dot(mu, reps[rows])) / batch.shots
+    signed = np.zeros(len(o))
+    for lo, hi, per_term in blocks:
+        reps = batch.reps[lo:hi]
+        as_float = reps.astype(float)
+        for l, (rows, mu) in enumerate(per_term):
+            hit = as_float[rows]
+            s_l[l] += hit.sum()
+            signed[l] += np.dot(mu, hit)
+            if weights is None:
+                hits[l] += reps[rows].sum()
+    vals = np.zeros(len(o))
+    for l in np.flatnonzero(s_l > 0):
+        f = batch.shots / int(hits[l]) if weights is None else weights[l]
+        vals[l] = f * float(signed[l]) / batch.shots
     return vals, s_l
 
 
@@ -234,7 +295,9 @@ def estimate(
     ``batches`` consecutive batches and takes the median of the batch means;
     it needs a randomized plan (PlanMismatch otherwise).  Terms the dataset
     never hit are reported through s_l and epsilon0; their zero
-    contributions stay in the mean, which is what keeps it unbiased.
+    contributions stay in the mean, which is what keeps it unbiased.  The
+    per-shot values stream block by block into ``math.fsum``, which rounds
+    their sum once, whatever the blocks.
     """
     if aggregator not in ("mean", "medianmeans"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
@@ -242,13 +305,15 @@ def estimate(
         raise ValueError("batches must be >= 1")
     if plan.scheme == "derand" and aggregator == "mean":
         return estimate_derandomized(batch, plan, o)
-    values, s_l = _shot_values(batch, plan, o)
-    weighted = values * batch.reps
+    s_l = np.zeros(len(o), dtype=np.int64)
+    # o_hat * reps of every row, in row order
+    weighted = itertools.chain.from_iterable(
+        values * batch.reps[lo:lo + len(values)] for lo, values in _shot_values(batch, plan, o, s_l))
     if aggregator == "mean":
         value = math.fsum(weighted) / batch.shots
     else:
         edges = np.linspace(0, len(batch), min(batches, len(batch)) + 1).astype(int)
-        value = float(np.median([math.fsum(weighted[lo:hi]) / batch.reps[lo:hi].sum()
+        value = float(np.median([math.fsum(itertools.islice(weighted, hi - lo)) / batch.reps[lo:hi].sum()
                                  for lo, hi in zip(edges[:-1], edges[1:])]))
     return _report(value, batch, o, s_l)
 

@@ -151,8 +151,8 @@ def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
     """ns settings, nr unit shots each, in planned order."""
     basis_ss, outcome_ss = ss.spawn(2)
     letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    return ShotBatch(np.repeat(letters, nr, axis=0),
-                     sample_settings(rho, letters, nr, outcome_ss))
+    return ShotBatch._owned(np.repeat(letters, nr, axis=0), sample_settings(rho, letters, nr, outcome_ss),
+                            np.ones(ns * nr, dtype=np.int64))
 
 
 def _fmt(v) -> str:

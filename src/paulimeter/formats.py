@@ -10,23 +10,38 @@ are separated by runs of the ASCII characters that ``str.isspace()``
 accepts: space, ``\t \n \v \f \r`` and ``\x1c``-``\x1f``.  Lines are
 numbered from 1 after universal-newline translation, so ``\r\n`` and a
 lone ``\r`` each end one line.  Blank lines and lines whose first token
-starts with ``#`` are skipped, and comment lines may hold any text.  Every
-other line is a record line and must be ASCII.
+starts with ``#`` are skipped.  Every other line is a record line and must
+be ASCII.
+
+Record files are read as bytes, in line-aligned chunks of about
+``_CHUNK_BYTES``, so a comment line may hold any bytes at all.  The rows go
+into arrays reserved once from the file's length: 2n + 8 bytes per row
+(letters, bits, reps), beside a working set that does not grow with the
+file.  ``write_records`` writes ``_WRITE_ROWS`` rows at a time.
+Hamiltonian and plan files are text, and a byte there that does not decode
+is a FormatError naming the file (and, for a Hamiltonian, the line).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
 from .errors import EmptyInput, FormatError
 from .estimators import ShotBatch
-from .paulis import PauliString, WeightedPauliSum
+from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum
 from .schemes import BasisDistribution, MeasurementPlan
 
 
+# what errors="surrogateescape" makes of a byte that does not decode
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+# bytes per read of a record file; each chunk is then cut at a line end
+_CHUNK_BYTES = 1 << 16
+# rows per block of write_records
+_WRITE_ROWS = 1 << 14
 # letter code per ASCII byte: I, X, Y, Z -> 0..3, anything else -> -1
 _LETTER_CODES = np.full(256, -1, dtype=np.int8)
 _LETTER_CODES[np.frombuffer(b"IXYZ", dtype=np.uint8)] = np.arange(4)
@@ -47,8 +62,12 @@ def parse_hamiltonian(path: str) -> WeightedPauliSum:
     n = None
     terms = []
     seen: dict[tuple[int, int], int] = {}
-    with open(path) as fh:
+    # an undecodable byte becomes a lone surrogate, caught on its own line
+    with open(path, errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = _UNDECODABLE.search(raw)
+            if bad:
+                _fail(path, lineno, f"undecodable byte {ord(bad.group()) - 0xDC00:#04x}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -101,92 +120,159 @@ def write_hamiltonian(path: str, o: WeightedPauliSum, comment: str = "") -> None
         fh.write("\n".join(lines) + "\n")
 
 
+def _chunks(fh):
+    """Line-aligned uint8 chunks of a binary file of about ``_CHUNK_BYTES``,
+    with \\r\\n and a lone \\r translated to \\n as text mode does.  A chunk
+    ends after its last line end; a final \\r waits for the next read, whose
+    first byte may be its \\n.  A line longer than a chunk doubles the read."""
+    carry = b""
+    while True:
+        block = fh.read(max(_CHUNK_BYTES, len(carry)))
+        raw = carry + block
+        cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, len(raw) - 1)) + 1 if block else len(raw)
+        carry = raw[cut:]
+        if cut:
+            data = np.frombuffer(raw, dtype=np.uint8, count=cut)
+            if raw.find(b"\r", 0, cut) >= 0:
+                cr = data == ord("\r")
+                pair = np.append(cr[:-1] & (data[1:] == ord("\n")), False)
+                data = np.where(cr, np.uint8(ord("\n")), data)[~pair]
+            yield data
+        if not block:
+            return
+
+
 def parse_records(path: str) -> ShotBatch:
-    """Read a record file (grammar in the module docstring) in whole-array
-    passes over its bytes; every FormatError names the first bad line."""
-    with open(path) as fh:
-        raw = fh.read().encode()
-    data = np.frombuffer(raw, dtype=np.uint8)
-    # tokens start and end where the separator mask changes
-    edges = np.flatnonzero(np.diff(_separators(data), prepend=True, append=True))
-    starts, ends = edges[::2], edges[1::2]
-    newlines = np.flatnonzero(data == ord("\n"))
-    line = np.searchsorted(newlines, starts)
-    # the first token of each line, and the line's token count
-    first = np.flatnonzero(np.diff(line, prepend=-1))
-    count = np.diff(first, append=len(starts))
-    record = data[starts[first]] != ord("#")
-    first, count = first[record], count[record]
-    line = line[first]
-    linenos = line + 1
-    # lines holding a non-ASCII byte, ended by a line past the last one
-    wide = np.append(np.searchsorted(newlines, np.flatnonzero(data > 127)), len(newlines) + 1)
-    wide = wide[np.searchsorted(wide, line)] == line
+    """Read a record file (grammar in the module docstring) chunk by chunk
+    into arrays sized from the file's length; every FormatError names the
+    first bad line.
 
-    def token(k) -> str:
-        return raw[starts[k]:ends[k]].decode()
+    A line-level error (a non-ASCII record line, a wrong token count, bad
+    reps) is raised in the chunk that holds it.  Then comes EmptyInput.
+    Then, held across chunks, the first failing row of the first column
+    check that fails: basis width, letters, identity letters, bits width,
+    bit values.  After the first column error no row is stored.
+    """
+    n = None
+    held = None  # (check, line number, message) of the first column error
+    lines = rows = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        for data in _chunks(fh):
+            # tokens start and end where the separator mask changes
+            edges = np.flatnonzero(np.diff(_separators(data), prepend=True, append=True))
+            starts, ends = edges[::2], edges[1::2]
+            newlines = np.flatnonzero(data == ord("\n"))
+            line = np.searchsorted(newlines, starts)
+            # the first token of each line, and the line's token count
+            first = np.flatnonzero(np.diff(line, prepend=-1))
+            count = np.diff(first, append=len(starts))
+            record = data[starts[first]] != ord("#")
+            first, count = first[record], count[record]
+            line = line[first]
+            linenos = lines + line + 1
+            lines += len(newlines)
+            # lines holding a non-ASCII byte, ended by a line past the last one
+            wide = np.append(np.searchsorted(newlines, np.flatnonzero(data > 127)), len(newlines) + 1)
+            wide = wide[np.searchsorted(wide, line)] == line
 
-    bad_lines = np.flatnonzero(wide | (count < 2) | (count > 3))
-    stop = bad_lines[0] if len(bad_lines) else len(first)
-    reps = np.ones(len(first), dtype=np.int64)
-    for k in np.flatnonzero(count[:stop] == 3):
-        try:
-            value = int(token(first[k] + 2))
-        except ValueError:
-            _fail(path, linenos[k], f"bad reps {token(first[k] + 2)!r}")
-        if not 1 <= value < 1 << 63:
-            _fail(path, linenos[k], "reps must be >= 1 and below 2**63")
-        reps[k] = value
-    if len(bad_lines):
-        _fail(path, linenos[stop], "record lines must be ASCII" if wide[stop]
-              else "record lines are '<basis> <bits> [reps]'")
-    if not len(first):
+            def token(k) -> str:
+                return data[starts[k]:ends[k]].tobytes().decode()
+
+            bad_lines = np.flatnonzero(wide | (count < 2) | (count > 3))
+            stop = bad_lines[0] if len(bad_lines) else len(first)
+            chunk_reps = np.ones(len(first), dtype=np.int64)
+            for k in np.flatnonzero(count[:stop] == 3):
+                try:
+                    value = int(token(first[k] + 2))
+                except ValueError:
+                    _fail(path, linenos[k], f"bad reps {token(first[k] + 2)!r}")
+                if not 1 <= value < 1 << 63:
+                    _fail(path, linenos[k], "reps must be >= 1 and below 2**63")
+                chunk_reps[k] = value
+            if len(bad_lines):
+                _fail(path, linenos[stop], "record lines must be ASCII" if wide[stop]
+                      else "record lines are '<basis> <bits> [reps]'")
+            if not len(first):
+                continue
+            if n is None:
+                n = int(ends[first[0]] - starts[first[0]])
+                first_line = linenos[0]
+                # a stored row's line holds 2n + 1 bytes and a line end, so
+                # this bounds the row count unless the file grows meanwhile
+                cap = (size + 1) // (2 * n + 2) if n <= MAX_QUBITS else 0
+                letters = np.empty((cap, n), dtype=np.int8)
+                bits = np.empty((cap, n), dtype=np.uint8)
+                reps = np.empty(cap, dtype=np.int64)
+
+            def bad_bits(k: int) -> str:
+                return f"bits {token(first[k] + 1)!r} must be {n} characters of 0/1"
+
+            # each check's rows are read only once the checks they rely on pass
+            checks = [(ends[first] - starts[first] != n,
+                       lambda k: f"basis {token(first[k])} does not fit n={n}")]
+            if not checks[0][0].any():
+                windows = np.lib.stride_tricks.sliding_window_view(data, n)
+                chunk_letters = _LETTER_CODES[windows[starts[first]]]
+                checks += [(chunk_letters < 0, lambda k: f"invalid Pauli letter in {token(first[k])!r}"),
+                           (chunk_letters == 0,
+                            lambda k: f"record basis {token(first[k])} contains identity letters"),
+                           (ends[first + 1] - starts[first + 1] != n, bad_bits)]
+                if not checks[-1][0].any():
+                    chunk_bits = windows[starts[first + 1]] - ord("0")
+                    checks.append((chunk_bits > 1, bad_bits))
+            for check, (bad, message) in enumerate(checks):
+                if held is not None and held[0] <= check:
+                    break
+                if bad.any():
+                    k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+                    held = (check, linenos[k], message(k))
+                    break
+            if held is not None or n > MAX_QUBITS:
+                continue
+            end = rows + len(first)
+            if end > len(reps):
+                for a in (letters, bits, reps):
+                    a.resize((max(end, 2 * len(reps)),) + a.shape[1:], refcheck=False)
+            letters[rows:end], bits[rows:end], reps[rows:end] = chunk_letters, chunk_bits, chunk_reps
+            rows = end
+    if n is None:
         raise EmptyInput(f"{path}: no record lines")
-    n = int(ends[first[0]] - starts[first[0]])
-
-    def first_bad(bad: np.ndarray, message) -> None:
-        if bad.any():
-            k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-            _fail(path, linenos[k], message(k))
-
-    def bad_bits(k: int) -> str:
-        return f"bits {token(first[k] + 1)!r} must be {n} characters of 0/1"
-
-    windows = np.lib.stride_tricks.sliding_window_view(data, n)
-    first_bad(ends[first] - starts[first] != n,
-              lambda k: f"basis {token(first[k])} does not fit n={n}")
-    letters = _LETTER_CODES[windows[starts[first]]]
-    first_bad(letters < 0, lambda k: f"invalid Pauli letter in {token(first[k])!r}")
-    first_bad(letters == 0, lambda k: f"record basis {token(first[k])} contains identity letters")
-    first_bad(ends[first + 1] - starts[first + 1] != n, bad_bits)
-    bits = windows[starts[first + 1]] - ord("0")
-    first_bad(bits > 1, bad_bits)
+    if held is not None:
+        _fail(path, *held[1:])
+    # give back what the length bound over-reserved; no view of these exists
+    for a in (letters, bits, reps):
+        a.resize((rows,) + a.shape[1:], refcheck=False)
     try:
-        return ShotBatch(letters, bits, reps)
+        return ShotBatch._owned(letters, bits, reps)
     except ValueError as exc:
-        _fail(path, linenos[0], str(exc))
+        _fail(path, first_line, str(exc))
 
 
 def write_records(path: str, records: ShotBatch) -> None:
-    """Write '<basis> <bits>' lines, with the reps column only where reps > 1."""
+    """Write '<basis> <bits>' lines, with the reps column only where reps > 1,
+    ``_WRITE_ROWS`` rows at a time."""
     n = records.n
-    plural = np.flatnonzero(records.reps > 1)
-    width = len(str(records.reps[plural].max())) + 1 if len(plural) else 0
-    lines = np.empty((len(records), 2 * n + 2 + width), dtype=np.uint8)
-    lines[:, :n] = np.frombuffer(b"IXYZ", dtype=np.uint8)[records.letters]
-    lines[:, n] = ord(" ")
-    lines[:, n + 1 : 2 * n + 1] = records.bits + ord("0")
-    lines[:, -1] = ord("\n")
-    data = lines.ravel()
-    if width:
-        # ' <digits>' on plural rows, zero bytes (dropped below) elsewhere
-        digits = records.reps[plural].astype(bytes)
-        lines[:, 2 * n + 1 : -1] = 0
-        lines[plural, 2 * n + 1] = ord(" ")
-        lines[plural, 2 * n + 2 : -1] = digits.view(np.uint8).reshape(len(plural), -1)[:, : width - 1]
-        data = data[data != 0]
     with open(path, "wb") as fh:
-        fh.write(data.tobytes())
+        for lo in range(0, len(records), _WRITE_ROWS):
+            letters, bits, reps = (a[lo:lo + _WRITE_ROWS]
+                                   for a in (records.letters, records.bits, records.reps))
+            plural = np.flatnonzero(reps > 1)
+            width = len(str(reps[plural].max())) + 1 if len(plural) else 0
+            lines = np.empty((len(reps), 2 * n + 2 + width), dtype=np.uint8)
+            lines[:, :n] = np.frombuffer(b"IXYZ", dtype=np.uint8)[letters]
+            lines[:, n] = ord(" ")
+            lines[:, n + 1 : 2 * n + 1] = bits + ord("0")
+            lines[:, -1] = ord("\n")
+            data = lines.ravel()
+            if width:
+                # ' <digits>' on plural rows, zero bytes (dropped below) elsewhere
+                digits = reps[plural].astype(bytes)
+                lines[:, 2 * n + 1 : -1] = 0
+                lines[plural, 2 * n + 1] = ord(" ")
+                lines[plural, 2 * n + 2 : -1] = digits.view(np.uint8).reshape(len(plural), -1)[:, : width - 1]
+                data = data[data != 0]
+            fh.write(data)
 
 
 def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float = 0.25, h2: float = 0.25) -> WeightedPauliSum:
@@ -311,7 +397,7 @@ def read_plan(path: str) -> MeasurementPlan:
     try:
         with open(path) as fh:
             d = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
     try:
         return plan_from_dict(d)

@@ -104,7 +104,7 @@ class ShadowSet(ShotBatch):
     """
 
     def __init__(self, n: int, letters, signs, seed_info: str = ""):
-        letters = np.asarray(letters, dtype=np.int8)
+        letters = np.array(letters, dtype=np.int8)
         signs = np.asarray(signs, dtype=np.int8)
         if letters.ndim != 2 or letters.shape[1] != n or letters.shape != signs.shape:
             raise DimensionMismatch("letters and signs must both be (N, n)")
@@ -113,7 +113,9 @@ class ShadowSet(ShotBatch):
         self._init_bits(letters, signs < 0, seed_info)
 
     def _init_bits(self, letters, bits, seed_info: str) -> None:
-        super().__init__(letters, bits)
+        """Take over (N, n) letter codes and outcome bits that no one else holds."""
+        self._adopt(np.asarray(letters, dtype=np.int8), np.asarray(bits, dtype=np.uint8),
+                    np.ones(len(letters), dtype=np.int64))
         self.seed_info = seed_info
         self._sums: dict = {}  # per-set memo of _snapshot_sum and _pair_sum
 

@@ -378,6 +378,11 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # draws per block of the PCG64 replay: its uint64 temporaries stay in cache
 # (3x faster than one pass at 2M draws) and their memory stays bounded
 _BLOCK_DRAWS = 2 ** 14
+# settings per block of the seed hashing, whose uint32 lanes (held in
+# uint64) would otherwise grow with the setting count; it also caps the
+# settings per draw block.  At 10^4 settings of 5 shots this keeps the
+# working memory near 0.4 MiB beside the output, at the speed of 2^12
+_HASH_SETTINGS = 2 ** 10
 
 
 def _words(value) -> list[int]:
@@ -410,8 +415,16 @@ def _mix(x, y):
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products of uint64 arrays."""
     a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    mid = a1 * b0 + ((a0 * b0) >> 32)
-    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
+    mid = a0 * b0
+    mid >>= 32
+    mid += a1 * b0
+    hi = a1 * b1
+    hi += mid >> 32
+    mid &= _M32
+    mid += a0 * b1
+    mid >>= 32
+    hi += mid
+    return hi
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -445,6 +458,24 @@ def _lcg_constants(levels: int) -> tuple[np.ndarray, ...]:
     return tuple(_frozen(a) for a in (p_hi, p_lo, s_hi, s_lo))
 
 
+def _child_seeds(words: list) -> tuple[np.ndarray, ...]:
+    """PCG64 seed and increment, as (seed_hi, seed_lo, inc_hi, inc_lo) uint64
+    columns, of the children whose SeedSequence entropy words are ``words``;
+    the last word is a column of child indices, hashed on uint32 lanes."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL]) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+    return seed_hi, seed_lo, (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+
+
 def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> np.ndarray:
     """(count, shots) doubles, row k equal to
     ``np.random.default_rng(parent.spawn(count)[k]).random(shots)``.
@@ -452,7 +483,8 @@ def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> n
     A vectorized replica of numpy's streams, which NEP 19 keeps fixed:
     child k's SeedSequence pool differs from its siblings' only in the last
     entropy word, k, so the hashing runs on uint32 lanes (held in uint64)
-    for that word alone; ``generate_state`` then gives PCG64's 128-bit seed
+    for that word alone, ``_HASH_SETTINGS`` children at a time from each
+    block's first index; ``generate_state`` then gives PCG64's 128-bit seed
     and increment.  The LCG state s -> M s + inc after seeding and t steps
     is M^(t+1) seed + (1 + M + ... + M^(t+1)) inc, so every draw of every
     child is two 128-bit products by constants, on 64-bit halves.  Output
@@ -468,22 +500,11 @@ def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> n
     # the child's entropy: run entropy zero-padded to the pool, spawn key, child index
     entropy = _words(parent.entropy)
     words = entropy + [0] * (_POOL - len(entropy)) + [w for k in parent.spawn_key for w in _words(k)]
-    words.append(np.arange(count, dtype=np.uint64)[:, None])
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL]) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    # blocks of at most _BLOCK_DRAWS draws: `width` shots of `step` settings
+    # blocks of at most _BLOCK_DRAWS draws: `width` shots of `step` settings,
+    # hashed `block` settings at a time
     width = min(shots, _BLOCK_DRAWS)
-    step = _BLOCK_DRAWS // width
+    step = max(1, min(_BLOCK_DRAWS // width, _HASH_SETTINGS))
+    block = step * (_HASH_SETTINGS // step)
     pow_hi, pow_lo, sum_hi, sum_lo = _lcg_constants((width + 2).bit_length())
     a_hi, a_lo = pow_hi[2:width + 2], pow_lo[2:width + 2]
     g_hi, g_lo = sum_hi[3:width + 3], sum_lo[3:width + 3]
@@ -491,21 +512,34 @@ def _child_uniforms(parent: np.random.SeedSequence, count: int, shots: int) -> n
     # seed moves on by one block as b -> M^width b + M S_width inc
     shift = int(pow_hi[width]) << 64 | int(pow_lo[width])
     shift_inc = _PCG_MULT * (int(sum_hi[width]) << 64 | int(sum_lo[width])) & _M128
-    b_hi, b_lo = seed_hi, seed_lo
     uniforms = np.empty((count, shots))
-    for t in range(0, shots, width):
-        if t:
-            b_hi, b_lo = _add128(*_mul128(b_hi, b_lo, shift), *_mul128(inc_hi, inc_lo, shift_inc))
-        m = min(width, shots - t)
-        for k in range(0, count, step):
-            s_hi, s_lo, i_hi, i_lo = (v[k:k + step] for v in (b_hi, b_lo, inc_hi, inc_lo))
-            lo_a, lo_g = s_lo * a_lo[:m], i_lo * g_lo[:m]
-            lo = lo_a + lo_g
-            hi = (_mulhi(s_lo, a_lo[:m]) + s_lo * a_hi[:m] + s_hi * a_lo[:m]
-                  + _mulhi(i_lo, g_lo[:m]) + i_lo * g_hi[:m] + i_hi * g_lo[:m] + (lo < lo_a))
-            x, rot = hi ^ lo, hi >> 58
-            x = (x >> rot) | (x << ((64 - rot) & 63))
-            uniforms[k:k + step, t:t + m] = (x >> 11) * 2.0 ** -53
+    for first in range(0, count, block):
+        last = min(first + block, count)
+        b_hi, b_lo, inc_hi, inc_lo = _child_seeds(words + [np.arange(first, last, dtype=np.uint64)[:, None]])
+        for t in range(0, shots, width):
+            if t:
+                b_hi, b_lo = _add128(*_mul128(b_hi, b_lo, shift), *_mul128(inc_hi, inc_lo, shift_inc))
+            m = min(width, shots - t)
+            for k in range(0, last - first, step):
+                s_hi, s_lo, i_hi, i_lo = (v[k:k + step] for v in (b_hi, b_lo, inc_hi, inc_lo))
+                # the state's 128-bit halves, summed in place to bound the temporaries
+                lo_a = s_lo * a_lo[:m]
+                lo = i_lo * g_lo[:m]
+                lo += lo_a
+                hi = _mulhi(s_lo, a_lo[:m])
+                hi += lo < lo_a
+                del lo_a
+                hi += _mulhi(i_lo, g_lo[:m])
+                for u, v in ((s_lo, a_hi), (s_hi, a_lo), (i_lo, g_hi), (i_hi, g_lo)):
+                    hi += u * v[:m]
+                # XSL-RR: x = hi ^ lo rotated right by hi >> 58
+                lo ^= hi
+                hi >>= 58
+                left = lo << ((64 - hi) & 63)
+                lo >>= hi
+                lo |= left
+                lo >>= 11
+                np.multiply(lo, 2.0 ** -53, out=uniforms[first + k:first + k + step, t:t + m])
     return uniforms
 
 

@@ -1,11 +1,13 @@
 """Estimator unbiasedness, variance formulas, and record-plan alignment."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from enumtools import enumerate_moments, sample_records, weighted_shots
+from paulimeter import estimators, experiments
 from paulimeter.errors import (
     CoverageError,
     DimensionMismatch,
@@ -37,7 +39,8 @@ from paulimeter.schemes import (
     plan_ldf,
     plan_uniform_cs,
 )
-from paulimeter.states import exact_expectation, ghz, random_mixed_state
+from paulimeter.shadows import ShadowSet
+from paulimeter.states import exact_expectation, ghz, random_mixed_state, sample_settings
 
 P = PauliString.from_text
 
@@ -81,6 +84,29 @@ def test_shot_batch_rows():
     assert [r.basis for r in batch] == [P("ZX"), P("YY"), P("XZ")]
     assert batch == ShotBatch(batch.letters.copy(), batch.bits.copy(), batch.reps.copy())
     assert batch != ShotBatch(batch.letters, batch.bits)
+
+
+def test_batches_the_package_builds_are_not_copied(monkeypatch):
+    # the arrays handed over by a builder are the batch's arrays, frozen
+    built = []
+
+    def keep(*args):
+        built.append(sample_settings(*args))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "sample_settings", keep)
+    plan = plan_l1(OBS_A)
+    batch = experiments._cell_records(ghz(2), plan, 6, 3, np.random.SeedSequence(1))
+    assert np.shares_memory(batch.bits, built[0]) and not built[0].flags.writeable
+    letters = np.array([[3, 1], [2, 2]], dtype=np.int8)
+    bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    sh = ShadowSet._from_bits(letters, bits)
+    assert np.shares_memory(sh.letters, letters) and np.shares_memory(sh.bits, bits)
+    assert not letters.flags.writeable
+    # the public constructors still copy what callers pass
+    letters, signs = np.array([[3, 1]], dtype=np.int8), np.array([[1, -1]], dtype=np.int8)
+    assert not np.shares_memory(ShadowSet(2, letters, signs).letters, letters)
+    assert letters.flags.writeable
 
 
 def test_shot_batch_is_a_read_only_copy():
@@ -346,3 +372,47 @@ def test_weighted_shots_probabilities_sum_to_one():
     for plan in (plan_l1(OBS_A), plan_uniform_cs(2), plan_lbcs(OBS_A)):
         _, weights = weighted_shots(plan, RHO_A)
         assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("scheme", ["l1", "ldf", "cs", "lbcs", "derand"])
+def test_estimates_over_row_blocks_equal_one_block(monkeypatch, scheme):
+    # blocks of 1, 2, 7 and 64 rows, the last one partial, give the bytes of
+    # one block: per-row values are the same, fsum rounds once, and the hit
+    # and reps * mu sums are integers
+    rng = np.random.default_rng(31)
+    if scheme == "derand":
+        plan = plan_derandomized(OBS_A, 9)
+        records = sample_records_for_bases(RHO_A, plan.fixed_bases, 11, seed=4)
+    else:
+        plan = {"l1": plan_l1, "ldf": plan_ldf, "lbcs": plan_lbcs,
+                "cs": lambda o: plan_uniform_cs(o.n)}[scheme](OBS_A)
+        records = sample_records(plan, RHO_A, 150, seed=4, nr=2)
+    batch = ShotBatch(records.letters, records.bits, rng.integers(1, 6, len(records)))
+
+    def results():
+        out = [estimate(batch, plan, OBS_A), per_term_expectations(batch, plan, OBS_A)]
+        if scheme != "derand":
+            out += [estimate(batch, plan, OBS_A, aggregator="medianmeans", batches=7),
+                    per_shot_estimates(batch, plan, OBS_A)]
+        return repr([(r.value.hex(), r.n_samples, r.s_l, r.epsilon0.hex()) if hasattr(r, "s_l")
+                     else np.asarray(r).tobytes() for r in out])
+
+    whole = results()
+    assert len(batch) < estimators._BLOCK_ROWS
+    for rows in (1, 2, 7, 64):
+        monkeypatch.setattr(estimators, "_BLOCK_ROWS", rows)
+        assert results() == whole
+    if scheme in ("cs", "lbcs"):
+        return
+    # a foreign row in the last block is found there, with the same message
+    letters = batch.letters.copy()
+    letters[-1] = next(row for row in itertools.product((1, 2, 3), repeat=2)
+                       if list(row) != letters[-1].tolist()
+                       and (scheme == "derand" or row not in map(tuple, plan.letters.tolist())))
+    messages = set()
+    for rows in (7, estimators._BLOCK_ROWS):
+        monkeypatch.setattr(estimators, "_BLOCK_ROWS", rows)
+        with pytest.raises(ForeignRecord) as err:
+            per_term_expectations(ShotBatch(letters, batch.bits), plan, OBS_A)
+        messages.add(str(err.value))
+    assert len(messages) == 1

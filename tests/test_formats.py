@@ -1,6 +1,9 @@
 """File formats: Hamiltonians, shot records, plan JSON, built-in models."""
 
+import os
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from enumtools import parse_records_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paulimeter import formats
 from paulimeter.errors import EmptyInput, FormatError
-from paulimeter.estimators import ShotBatch, ShotRecord
+from paulimeter.estimators import ShotBatch, ShotRecord, estimate
+from paulimeter.experiments import _cell_records
 from paulimeter.formats import (
     _separators,
     builtin_hamiltonian,
@@ -31,6 +36,7 @@ from paulimeter.schemes import (
     plan_ldf,
     plan_uniform_cs,
 )
+from paulimeter.states import admix_white_noise, ghz
 
 P = PauliString.from_text
 
@@ -191,6 +197,9 @@ def test_records_non_ascii_record_line_names_its_line(tmp_path, line):
     assert str(err.value) == f"{path}:3: record lines must be ASCII"
 
 
+# read sizes for the chunked parser: tiny ones put chunk edges inside every
+# kind of line and between the bytes of a \r\n
+_CHUNK_SIZES = (1, 2, 3, 5, formats._CHUNK_BYTES)
 # the ASCII characters str.isspace() accepts, less the line endings \n and \r
 _GAPS = " \t\v\f\x1c\x1d\x1e\x1f"
 _CORRUPTIONS = ("none", "count", "reps", "range", "empty", "length", "letter", "identity",
@@ -273,30 +282,135 @@ def _parse_outcome(parse, path):
     ("XZ 0\nXI 01\nXQ 01\n", 3, "letter"),
     ("XZ 02\nXZ 0\nXI 01\n", 3, "identity"),
     ("XZ 02\nXZ 0\n", 2, "0/1"),
+    ("XQ 01\nXZ 0\nXZ 01\nXZ 01 x\n", 4, "bad reps"),
+    ("XZ 01\nXZ 0\nXQ 01\n\nXZ 01\nZI 01\n", 3, "letter"),
 ])
 def test_parse_records_reports_the_first_error_in_order(tmp_path, content, lineno, fragment):
+    # at chunks of a few bytes every line is read in pieces, and an error
+    # held from one chunk meets the errors of the chunks after it
     path = tmp_path / "bad.rec"
     path.write_text(content)
-    with pytest.raises(FormatError) as err:
-        parse_records(str(path))
-    assert str(err.value).startswith(f"{path}:{lineno}: ") and fragment in str(err.value)
-    if "ASCII" not in fragment:
-        assert _parse_outcome(parse_records_loop, str(path)) == (FormatError, str(err.value))
+    for chunk in _CHUNK_SIZES:
+        with pytest.raises(FormatError) as err, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK_BYTES", chunk)
+            parse_records(str(path))
+        assert str(err.value).startswith(f"{path}:{lineno}: ") and fragment in str(err.value)
+        if "ASCII" not in fragment:
+            assert _parse_outcome(parse_records_loop, str(path)) == (FormatError, str(err.value))
 
 
 @pytest.mark.parametrize("kind", _CORRUPTIONS)
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_parse_records_matches_the_line_loop(kind, data):
+@given(data=st.data(), chunk=st.sampled_from(_CHUNK_SIZES))
+def test_parse_records_matches_the_line_loop(kind, data, chunk):
     text = data.draw(record_files(kind))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/r.rec"
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        got, want = _parse_outcome(parse_records, path), _parse_outcome(parse_records_loop, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK_BYTES", chunk)
+            got = _parse_outcome(parse_records, path)
+        want = _parse_outcome(parse_records_loop, path)
     assert got == want
     if kind == "empty":
         assert want == (EmptyInput, f"{path}: no record lines")
+
+
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
+def test_chunk_edges_inside_lines_and_line_ends(tmp_path, chunk):
+    # line ends of every kind, a \r\n on each byte offset, a comment longer
+    # than a chunk, and a last line with no line end
+    lines = ["# " + "c" * 40, "XZY 010", "", "YYX 111 12", "\t# x", "ZZZ 000 3", "XXY 101"]
+    for end in ("\n", "\r\n", "\r"):
+        text = "".join(line + end for line in lines[:-1]) + lines[-1]
+        path = tmp_path / "r.rec"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK_BYTES", chunk)
+            got = parse_records(str(path))
+        assert got == parse_records_loop(str(path))
+        assert got.reps.tolist() == [1, 12, 3, 1]
+    # a bits error held from line 2 gives way to a letter error on line 3
+    path.write_bytes(b"XZY 010\r\nXZY 0" + b"\r\nXQY 010" * 3)
+    with pytest.raises(FormatError, match=r":3: invalid Pauli letter in 'XQY'$"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK_BYTES", chunk)
+        parse_records(str(path))
+
+
+def test_parsed_arrays_fit_the_rows(tmp_path):
+    # the length bound over-reserves for comments and reps columns; the
+    # batch keeps exactly its rows
+    path = tmp_path / "r.rec"
+    path.write_text("# " + "x" * 500 + "\nXZ 01 7\nZZ 11\n")
+    batch = parse_records(str(path))
+    assert batch.letters.shape == batch.bits.shape == (2, 2) and batch.reps.shape == (2,)
+    assert batch.reps.tolist() == [7, 1] and not batch.letters.flags.writeable
+
+
+def test_records_from_a_pipe_grow_their_arrays(tmp_path):
+    # a pipe reports no length, so the arrays start empty and grow
+    path = tmp_path / "r.fifo"
+    os.mkfifo(path)
+    text = "".join(f"XZ {k % 2}{k // 2 % 2}\n" for k in range(5000))
+
+    def write():
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = parse_records(str(path))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = tmp_path / "r.rec"
+    expected.write_text(text)
+    assert got == parse_records(str(expected)) and len(got) == 5000
+
+
+def test_parse_and_estimate_memory_is_bounded(tmp_path):
+    # 200,000 records of 10 bytes; the batch holds 16 bytes per row, and the
+    # whole-file tokenizer peaked at 12x the file
+    h = builtin_hamiltonian("lattice4")
+    plan = plan_ldf(h)
+    rho = admix_white_noise(ghz(4), 0.1)
+    path = str(tmp_path / "r.rec")
+    write_records(path, _cell_records(rho, plan, 40_000, 5, np.random.SeedSequence(8)))
+    size = os.path.getsize(path)
+    assert size == 2_000_000
+    tracemalloc.start()
+    try:
+        report = estimate(parse_records(path), plan, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_samples == 200_000 and peak <= 3 * size
+
+
+def test_undecodable_bytes_in_comments_and_record_lines(tmp_path):
+    path = tmp_path / "r.rec"
+    path.write_bytes(b"# caf\xe9 \xff\xfe\nXZ 01\n#\xe9\n")
+    assert parse_records(str(path)) == ShotBatch([[1, 3]], [[0, 1]])
+    path.write_bytes(b"# caf\xe9\nXZ 01\nXZ 0\xe9\n")
+    with pytest.raises(FormatError) as err:
+        parse_records(str(path))
+    assert str(err.value) == f"{path}:3: record lines must be ASCII"
+
+
+def test_undecodable_bytes_in_hamiltonian_and_plan_files(tmp_path):
+    ham = tmp_path / "h.ham"
+    ham.write_bytes(b"n 2\n# caf\xe9\n1.0 XZ\n")
+    with pytest.raises(FormatError) as err:
+        parse_hamiltonian(str(ham))
+    assert str(err.value) == f"{ham}:2: undecodable byte 0xe9"
+    plan = tmp_path / "p.json"
+    plan.write_bytes(b'{"scheme": "caf\xe9"}')
+    with pytest.raises(FormatError) as err:
+        read_plan(str(plan))
+    assert str(err.value).startswith(f"{plan}: ")
 
 
 def test_builtin_lattice4_structure():

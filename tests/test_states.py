@@ -395,15 +395,34 @@ def test_sample_settings_equals_the_per_setting_loop(n, shots):
                          st.integers(2 ** 64 + 1, 2 ** 160)),
        key=st.lists(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 96)),
                     max_size=6),
-       count=st.integers(1, 300), shots=st.integers(1, 7))
-@example(entropy=2 ** 70 + 5, key=[3], count=2500, shots=7)  # more than one block of draws
-def test_bulk_draws_are_the_spawned_children_streams(entropy, key, count, shots):
+       count=st.integers(1, 300), shots=st.integers(1, 7),
+       hashed=st.sampled_from((1, 3, 64, states._HASH_SETTINGS)))
+# more than one block of draws, and three blocks of hashed settings
+@example(entropy=2 ** 70 + 5, key=[3], count=2500, shots=7, hashed=states._HASH_SETTINGS)
+@example(entropy=9, key=[], count=2100, shots=1, hashed=states._HASH_SETTINGS)
+def test_bulk_draws_are_the_spawned_children_streams(entropy, key, count, shots, hashed):
+    # `hashed` settings per hashing block: small ones make every count span
+    # several blocks, with a partial last one
     parent = np.random.SeedSequence(entropy, spawn_key=key)
     want = np.array([uniforms(shots, child)
                      for child in np.random.SeedSequence(entropy, spawn_key=key).spawn(count)])
-    got = _child_uniforms(parent, count, shots)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "_HASH_SETTINGS", hashed)
+        got = _child_uniforms(parent, count, shots)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert parent.n_children_spawned == 0
+
+
+def test_child_uniform_memory_is_bounded():
+    # the output is 0.4 MB; hashing all 10^4 settings at once peaked at 3.4 MB
+    _child_uniforms(np.random.SeedSequence(3), 10, 5)  # the LCG tables are cached
+    tracemalloc.start()
+    try:
+        got = _child_uniforms(np.random.SeedSequence(3), 10_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 400_000 and peak <= 1_000_000
 
 
 def test_many_shot_draws_cross_the_blocks():
