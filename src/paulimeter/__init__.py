@@ -53,7 +53,6 @@ from .schemes import (
 from .estimators import (
     EstimateReport,
     ShotBatch,
-    ShotRecord,
     estimate,
     estimate_derandomized,
     per_shot_estimates,
@@ -67,14 +66,12 @@ from .estimators import (
 )
 from .shadows import (
     ShadowSet,
-    Snapshot,
     collect_shadows,
     p3_ppt_certificate,
     pt_moment_ustat,
     purity_certificate,
     purity_ustat,
     reconstruct_mean,
-    snapshot,
 )
 from .formats import (
     builtin_hamiltonian,

@@ -89,9 +89,20 @@ def _state(qubits: int, fidelity: float):
 def _shadows_from(records_path, qubits, ns, seed, fidelity) -> ShadowSet:
     if records_path is not None:
         records = parse_records(records_path)
-        return ShadowSet.from_records(records, seed_info=f"file={records_path}")
+        return ShadowSet.from_records(records)
     rho = _state(qubits, fidelity)
     return collect_shadows(rho, ns, seed)
+
+
+def _shadow_source(command):
+    """The options naming a shadow command's snapshots: a record file or a simulated state."""
+    return functools.reduce(lambda f, option: option(f), reversed((
+        click.option("--records", "records_path", default=None, help="Snapshot record file."),
+        click.option("--ns", default=1000, show_default=True),
+        click.option("--seed", default=0, show_default=True),
+        click.option("--fidelity", default=1.0, show_default=True),
+        click.option("--qubits", default=4, show_default=True),
+    )), command)
 
 
 def _echo_out(text: str, out) -> None:
@@ -213,11 +224,7 @@ def shadows_cmd(ns, seed, fidelity, qubits, out):
 
 
 @main.command("purity")
-@click.option("--records", "records_path", default=None, help="Snapshot record file.")
-@click.option("--ns", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--fidelity", default=1.0, show_default=True)
-@click.option("--qubits", default=4, show_default=True)
+@_shadow_source
 @click.option("--mask", "mask_texts", multiple=True,
               help="Subsystem as site labels, e.g. 1,2; repeatable. Default: full system.")
 @click.option("--out", default=None, help="Optional CSV (mask, purity).")
@@ -236,11 +243,7 @@ def purity_cmd(records_path, ns, seed, fidelity, qubits, mask_texts, out):
 
 
 @main.command("ptmoments")
-@click.option("--records", "records_path", default=None, help="Snapshot record file.")
-@click.option("--ns", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--fidelity", default=1.0, show_default=True)
-@click.option("--qubits", default=4, show_default=True)
+@_shadow_source
 @click.option("--mask", "mask_text", required=True, help="Transposed subsystem, e.g. 1,2.")
 @click.option("--order", default=3, show_default=True, type=click.IntRange(2, 3))
 @click.option("--strategy", default="full", show_default=True,
@@ -258,11 +261,7 @@ def ptmoments_cmd(records_path, ns, seed, fidelity, qubits, mask_text, order, st
 
 
 @main.command("certify")
-@click.option("--records", "records_path", default=None, help="Snapshot record file.")
-@click.option("--ns", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--fidelity", default=1.0, show_default=True)
-@click.option("--qubits", default=4, show_default=True)
+@_shadow_source
 @click.option("--mask", "mask_texts", multiple=True,
               help="Subsystem; repeatable. Default: all nonempty proper subsets.")
 @click.option("--strategy", default="full", show_default=True)
@@ -306,6 +305,8 @@ def certify_cmd(records_path, ns, seed, fidelity, qubits, mask_texts, strategy, 
 def bench_cmd(task, scheme_texts, hamiltonian, ns_text, nr, reps, seed, fidelity,
               qubits, mask_texts, strategy, jobs, out):
     """Run a benchmark sweep and emit its CSV."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     schemes = tuple(s for t in scheme_texts for s in t.split(",") if s) or SCHEME_NAMES
     ns_grid = _grid(ns_text)
     h = load_hamiltonian(hamiltonian) if hamiltonian is not None else None

@@ -46,9 +46,10 @@ class ShotBatch:
     an int8 (N, n) array, ``bits`` the outcome bits as a uint8 (N, n) array,
     and ``reps`` the int64 (N,) multiplicities: a row with reps=r stands for
     r unit shots that produced the same basis and the same outcome.  The
-    constructor copies its arrays; the package's own builders hand theirs
-    over through ``_owned``.  Either way they are validated and made
-    read-only once, here; indexing and iteration give ShotRecord row views.
+    total shot count must stay below 2^53, the bound under which
+    :func:`per_term_expectations` sums exactly.  The constructor copies its
+    arrays; the package's own builders hand theirs over through ``_owned``.
+    Either way they are validated and made read-only once, in ``_adopt``.
     """
 
     def __init__(self, letters, bits, reps=None) -> None:
@@ -80,44 +81,28 @@ class ShotBatch:
             raise ValueError("bits must be 0 or 1")
         if reps.size and reps.min() < 1:
             raise ValueError("reps must be >= 1")
+        # a float sum of positive integers is exact below 2^53 and cannot
+        # fall back under it once a partial sum reaches it, in any order
+        shots = reps.sum(dtype=float)
+        if shots >= 2.0 ** 53:
+            raise ValueError("reps add up to 2^53 shots or more")
         for a in (letters, bits, reps):
             a.setflags(write=False)
         self.n = letters.shape[1]
         self.letters = letters
         self.bits = bits
         self.reps = reps
+        self.shots = int(shots)
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __getitem__(self, k: int) -> "ShotRecord":
-        return ShotRecord(PauliString.from_codes(self.letters[k]),
-                          tuple(int(b) for b in self.bits[k]), int(self.reps[k]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ShotBatch) and np.array_equal(self.letters, other.letters)
                 and np.array_equal(self.bits, other.bits) and np.array_equal(self.reps, other.reps))
 
-    __hash__ = None
-
     def __reduce__(self):
-        return type(self), (self.letters, self.bits, self.reps)
-
-    @property
-    def shots(self) -> int:
-        return int(self.reps.sum())
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One row of a ShotBatch: full-weight basis, outcome bits, multiplicity."""
-
-    basis: PauliString
-    bits: tuple[int, ...]
-    reps: int = 1
-
-    def __post_init__(self) -> None:
-        ShotBatch([self.basis.codes()], [self.bits], [self.reps])
+        return type(self)._owned, (self.letters, self.bits, self.reps)
 
 
 @dataclass(frozen=True)
@@ -204,7 +189,8 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
                 wrong = np.flatnonzero(np.any(letters != planned, axis=1))
                 if wrong.size:
                     k = lo + int(wrong[0])
-                    raise ForeignRecord(f"record basis {batch[k].basis} does not match planned "
+                    basis = PauliString.from_codes(letters[wrong[0]])
+                    raise ForeignRecord(f"record basis {basis} does not match planned "
                                         f"basis {plan.fixed_bases[k // nr]} (setting {k // nr})")
             elif kind == "explicit":
                 keys = _row_keys(letters)
@@ -212,7 +198,7 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
                                        len(order) - 1)]
                 foreign = np.flatnonzero(entry_keys[ids] != keys)
                 if foreign.size:
-                    raise ForeignRecord(f"basis {batch[lo + int(foreign[0])].basis} "
+                    raise ForeignRecord(f"basis {PauliString.from_codes(letters[foreign[0]])} "
                                         "is not an entry of the plan")
             yield lo, hi, per_term(letters, batch.bits[lo:hi], ids)
 

@@ -25,6 +25,7 @@ is a FormatError naming the file (and, for a Hamiltonian, the line).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 
@@ -92,6 +93,8 @@ def parse_hamiltonian(path: str) -> WeightedPauliSum:
                 coeff = float(parts[0])
             except ValueError:
                 _fail(path, lineno, f"bad coefficient {parts[0]!r}")
+            if not math.isfinite(coeff):
+                _fail(path, lineno, f"coefficient {parts[0]!r} is not finite")
             try:
                 pauli = PauliString.from_text(parts[1])
             except ValueError as exc:
@@ -275,11 +278,12 @@ def write_records(path: str, records: ShotBatch) -> None:
             fh.write(data)
 
 
-def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float = 0.25, h2: float = 0.25) -> WeightedPauliSum:
-    """Built-in 4-qubit models, periodic boundary conditions.
+def builtin_hamiltonian(name: str) -> WeightedPauliSum:
+    """Built-in 4-qubit models, periodic boundary conditions, every
+    coefficient 1/4:
 
-    lattice4: J sum_i (Z_i Z_{i+1} + X_i Y_{i+1} + Y_i Z_{i+1} + X_i Z_{i+1}) + h sum_i X_i
-    cluster4: J sum_i Z_i X_{i+1} Z_{i+2} + h1 sum_i X_i + h2 sum_i Y_i Y_{i+1}
+    lattice4: sum_i (Z_i Z_{i+1} + X_i Y_{i+1} + Y_i Z_{i+1} + X_i Z_{i+1} + X_i) / 4
+    cluster4: sum_i (Z_i X_{i+1} Z_{i+2} + X_i + Y_i Y_{i+1}) / 4
     """
     if name == "lattice4":
         n = 4
@@ -289,11 +293,11 @@ def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float =
             for a, b in ((3, 3), (1, 2), (2, 3), (1, 3)):
                 codes = [0] * n
                 codes[i], codes[j] = a, b
-                terms.append((J, PauliString.from_codes(codes)))
+                terms.append((0.25, PauliString.from_codes(codes)))
         for i in range(n):
             codes = [0] * n
             codes[i] = 1
-            terms.append((h, PauliString.from_codes(codes)))
+            terms.append((0.25, PauliString.from_codes(codes)))
         return WeightedPauliSum.from_terms(n, terms)
     if name == "cluster4":
         n = 4
@@ -303,16 +307,16 @@ def builtin_hamiltonian(name: str, J: float = 0.25, h: float = 0.25, h1: float =
             codes[i] = 3
             codes[(i + 1) % n] = 1
             codes[(i + 2) % n] = 3
-            terms.append((J, PauliString.from_codes(codes)))
+            terms.append((0.25, PauliString.from_codes(codes)))
         for i in range(n):
             codes = [0] * n
             codes[i] = 1
-            terms.append((h1, PauliString.from_codes(codes)))
+            terms.append((0.25, PauliString.from_codes(codes)))
         for i in range(n):
             codes = [0] * n
             codes[i] = 2
             codes[(i + 1) % n] = 2
-            terms.append((h2, PauliString.from_codes(codes)))
+            terms.append((0.25, PauliString.from_codes(codes)))
         return WeightedPauliSum.from_terms(n, terms)
     raise ValueError(f"unknown builtin Hamiltonian {name!r}")
 

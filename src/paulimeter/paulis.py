@@ -244,11 +244,9 @@ class WeightedPauliSum:
         self.letters.setflags(write=False)
 
     @classmethod
-    def from_terms(cls, n: int, terms, tol: float = 0.0) -> "WeightedPauliSum":
-        """Collect (coefficient, pauli) pairs, summing duplicates.
-
-        Terms whose collected |coefficient| <= ``tol`` are dropped.
-        """
+    def from_terms(cls, n: int, terms) -> "WeightedPauliSum":
+        """Collect (coefficient, pauli) pairs, summing duplicates; terms whose
+        collected coefficient is zero are dropped."""
         acc: dict[tuple[int, int], float] = {}
         order: list[tuple[int, int]] = []
         for coeff, pauli in terms:
@@ -259,7 +257,7 @@ class WeightedPauliSum:
                 acc[key] = 0.0
                 order.append(key)
             acc[key] += float(coeff)
-        kept = [(acc[k], PauliString(n, k[0], k[1])) for k in order if abs(acc[k]) > tol and acc[k] != 0.0]
+        kept = [(acc[k], PauliString(n, k[0], k[1])) for k in order if abs(acc[k]) > 0.0]
         return cls(n, kept)
 
     def __len__(self) -> int:

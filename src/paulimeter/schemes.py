@@ -21,6 +21,8 @@ from .paulis import PauliString, WeightedPauliSum, hits, letter_matrix, strings_
 
 _PROB_TOL = 1e-10
 _LBCS_FLOOR = 1e-6
+_LBCS_SWEEPS = 200
+_LBCS_TOL = 1e-10
 SCHEME_NAMES = ("l1", "ldf", "cs", "lbcs", "derand")
 
 
@@ -41,8 +43,8 @@ class BasisDistribution:
             if not self.explicit:
                 raise ValueError("explicit distribution needs at least one basis")
             probs = [p for _, p in self.explicit]
-            if any(p <= 0 for p in probs):
-                raise ValueError("explicit probabilities must be positive")
+            if not all(0.0 < p < math.inf for p in probs):
+                raise ValueError("explicit probabilities must be positive and finite")
             if abs(sum(probs) - 1.0) > _PROB_TOL:
                 raise ValueError(f"explicit probabilities sum to {sum(probs)}, not 1")
             if any(not b.is_full_weight for b, _ in self.explicit):
@@ -51,8 +53,8 @@ class BasisDistribution:
             q = self.product
             if q is None or q.ndim != 2 or q.shape[1] != 3:
                 raise ValueError("product distribution needs an (n, 3) array")
-            if np.any(q < 0):
-                raise ValueError("product probabilities must be nonnegative")
+            if not np.all((q >= 0) & (q < np.inf)):
+                raise ValueError("product probabilities must be nonnegative and finite")
             if np.max(np.abs(q.sum(axis=1) - 1.0)) > _PROB_TOL:
                 raise ValueError("per-qubit triples must sum to 1")
             q.setflags(write=False)
@@ -186,19 +188,16 @@ def _fill_group_basis(letters: np.ndarray, members: list[int]) -> PauliString:
     return PauliString.from_codes(codes)
 
 
-def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> MeasurementPlan:
+def plan_ldf(o: WeightedPauliSum) -> MeasurementPlan:
     """Largest-degree-first grouping of qubit-wise compatible terms.
 
     Builds the incompatibility graph over terms, colors vertices greedily in
     nonincreasing degree order (ties broken by term index, each vertex taking
     the lowest class with no incompatible member), and turns each color class
     into a jointly measured group.  Group probabilities are proportional to
-    the group's total |alpha| weight by default, or uniform over groups with
-    ``probabilities="uniform"``.  Entry j of the plan is group j's basis and
-    measures the terms in ``members[j]``.
+    the group's total |alpha| weight.  Entry j of the plan is group j's basis
+    and measures the terms in ``members[j]``.
     """
-    if probabilities not in ("weight", "uniform"):
-        raise ValueError(f"unknown probability rule {probabilities!r}")
     o.require_nonempty()
     a, b = o.letters[:, None], o.letters[None, :]
     adj = np.any((a > 0) & (b > 0) & (a != b), axis=2)  # incompatible term pairs
@@ -217,11 +216,8 @@ def plan_ldf(o: WeightedPauliSum, probabilities: str = "weight") -> MeasurementP
         for idx in grp:
             assert hits(basis, o.paulis[idx]), f"group basis {basis} misses {o.paulis[idx]}"
     weights = [sum(abs(o.coeffs[i]) for i in grp) for grp in groups]
-    if probabilities == "weight":
-        total = sum(weights)
-        probs = [w / total for w in weights]
-    else:
-        probs = [1.0 / len(groups)] * len(groups)
+    total = sum(weights)
+    probs = [w / total for w in weights]
     dist = BasisDistribution("explicit", explicit=tuple(zip(bases, probs)))
     return MeasurementPlan(
         scheme="ldf",
@@ -255,19 +251,20 @@ def _lbcs_cost(o: WeightedPauliSum, q: np.ndarray) -> float:
     return float(np.cumsum(_lbcs_terms(o, q))[-1])
 
 
-def plan_lbcs(o: WeightedPauliSum, max_sweeps: int = 200, tol: float = 1e-10) -> MeasurementPlan:
+def plan_lbcs(o: WeightedPauliSum) -> MeasurementPlan:
     """Locally biased product distribution.
 
     Minimizes the diagonal variance surrogate
     C(K) = sum_l alpha_l^2 prod_{i in supp(O_l)} 1/K_i(O_{l,i})
     by cyclic exact per-qubit minimization (the optimum of sum_W A_W/q_W on
     the simplex is q_W proportional to sqrt(A_W)) starting from uniform.
-    Probabilities are floored at 1e-6 and renormalized so estimator kernels
-    stay finite; qubits carried by no term keep the uniform triple.  A qubit
-    update is kept only if it does not increase the cost, so the surrogate
-    is nonincreasing across sweeps.  Stops when the relative improvement of
-    a full sweep drops below ``tol``; if the sweep budget runs out first the
-    best iterate is returned with ``converged=False``.
+    Probabilities are floored at ``_LBCS_FLOOR`` and renormalized so
+    estimator kernels stay finite; qubits carried by no term keep the
+    uniform triple.  A qubit update is kept only if it does not increase the
+    cost, so the surrogate is nonincreasing across sweeps.  Stops when the
+    relative improvement of a full sweep drops below ``_LBCS_TOL``; if
+    ``_LBCS_SWEEPS`` sweeps run out first the best iterate is returned with
+    ``converged=False``.
     """
     o.require_nonempty()
     if any(p.is_identity for p in o.paulis):
@@ -276,7 +273,7 @@ def plan_lbcs(o: WeightedPauliSum, max_sweeps: int = 200, tol: float = 1e-10) ->
     q = np.full((n, 3), 1.0 / 3.0)
     cost = _lbcs_cost(o, q)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_LBCS_SWEEPS):
         before = cost
         for i, col in enumerate(o.letters.T):
             on = col > 0
@@ -294,7 +291,7 @@ def plan_lbcs(o: WeightedPauliSum, max_sweeps: int = 200, tol: float = 1e-10) ->
                 cost = new_cost
             else:
                 q[i] = old
-        if before - cost < tol * before:
+        if before - cost < _LBCS_TOL * before:
             converged = True
             break
     return MeasurementPlan(

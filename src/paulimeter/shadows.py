@@ -32,18 +32,12 @@ so they keep the fixed order of the chunked kernel _kron_sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FeasibilityError,
-    InvalidBasis,
-)
+from .errors import DimensionMismatch, EmptyInput, FeasibilityError
 from .estimators import ShotBatch
-from .paulis import _MATS, PauliString
+from .paulis import _MATS
 from .states import DensityMatrix, SubsystemMask, _transpose_sites, sample_settings
 
 # factor (I + 3 s W)/2 indexed by [letter code - 1][0 if s=+1 else 1]
@@ -58,91 +52,43 @@ _MC_CHUNK = 1 << 16
 _KRON_BYTES = 1 << 25  # largest stack of Kronecker blocks built at once
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Single-shot state estimate: per-qubit trace-1 factors with
-    eigenvalues {2, -1}, plus the (basis, bits) that produced them."""
-
-    basis: PauliString
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.basis.is_full_weight:
-            raise InvalidBasis(f"snapshot basis {self.basis} contains identity letters")
-        if len(self.bits) != self.basis.n:
-            raise DimensionMismatch(f"{len(self.bits)} bits for an n={self.basis.n} basis")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
-
-    @property
-    def factors(self) -> list[np.ndarray]:
-        """(I + 3 s_i W_i)/2 per site, s_i = (-1)^{bit_i}."""
-        return [_FACTOR[self.basis.code(i) - 1, self.bits[i]] for i in range(self.n)]
-
-    def to_matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0.0j]])
-        for f in self.factors:
-            out = np.kron(out, f)
-        return out
-
-
-def snapshot(basis: PauliString, bits) -> Snapshot:
-    return Snapshot(basis, tuple(int(b) for b in bits))
-
-
 class ShadowSet(ShotBatch):
     """Ordered snapshot collection: a shot batch with every reps = 1.
 
     ``letters[k, i]`` is the measured Pauli letter code (1=X, 2=Y, 3=Z) on
     site i of snapshot k; ``signs[k, i]`` is the outcome eigenvalue +-1,
-    stored as the outcome bit.  ``seed_info`` records how the set was
-    generated.
+    stored as the outcome bit.  The package builds its sets through
+    ``_owned``, as any batch; the constructor takes signs and copies them.
     """
 
-    def __init__(self, n: int, letters, signs, seed_info: str = ""):
+    def __init__(self, n: int, letters, signs):
         letters = np.array(letters, dtype=np.int8)
         signs = np.asarray(signs, dtype=np.int8)
         if letters.ndim != 2 or letters.shape[1] != n or letters.shape != signs.shape:
             raise DimensionMismatch("letters and signs must both be (N, n)")
         if signs.size and not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1")
-        self._init_bits(letters, signs < 0, seed_info)
+        self._adopt(letters, (signs < 0).astype(np.uint8), np.ones(len(letters), dtype=np.int64))
 
-    def _init_bits(self, letters, bits, seed_info: str) -> None:
-        """Take over (N, n) letter codes and outcome bits that no one else holds."""
-        self._adopt(np.asarray(letters, dtype=np.int8), np.asarray(bits, dtype=np.uint8),
-                    np.ones(len(letters), dtype=np.int64))
-        self.seed_info = seed_info
+    def _adopt(self, letters, bits, reps) -> None:
+        super()._adopt(letters, bits, reps)
         self._sums: dict = {}  # per-set memo of _snapshot_sum and _pair_sum
-
-    @classmethod
-    def _from_bits(cls, letters, bits, seed_info: str = "") -> "ShadowSet":
-        """The set of (N, n) letter codes and outcome bits, without signs."""
-        shadows = cls.__new__(cls)
-        shadows._init_bits(letters, bits, seed_info)
-        return shadows
-
-    def __reduce__(self):
-        return type(self)._from_bits, (self.letters, self.bits, self.seed_info)
 
     @property
     def signs(self) -> np.ndarray:
         return 1 - 2 * self.bits.astype(np.int8)
 
-    def __getitem__(self, k: int) -> Snapshot:
-        return snapshot(PauliString.from_codes(self.letters[k]), self.bits[k])
-
     @classmethod
-    def from_records(cls, records: ShotBatch, seed_info: str = "") -> "ShadowSet":
+    def from_records(cls, records: ShotBatch) -> "ShadowSet":
         """Expand a shot batch (reps included) into one snapshot per shot."""
         if len(records) == 0:
             raise EmptyInput("no records to build shadows from")
-        return cls._from_bits(np.repeat(records.letters, records.reps, axis=0),
-                              np.repeat(records.bits, records.reps, axis=0), seed_info)
+        try:
+            letters = np.repeat(records.letters, records.reps, axis=0)
+            bits = np.repeat(records.bits, records.reps, axis=0)
+        except MemoryError:
+            raise FeasibilityError(f"{records.shots} snapshots do not fit in memory") from None
+        return cls._owned(letters, bits, np.ones(len(letters), dtype=np.int64))
 
     def records(self) -> ShotBatch:
         """The set as a shot batch, one row per snapshot (lossless)."""
@@ -156,7 +102,7 @@ def collect_shadows(rho: DensityMatrix, ns: int, seed) -> ShadowSet:
         raise ValueError("ns must be >= 1")
     letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
     bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed))
-    return ShadowSet._from_bits(letters, bits, f"mode=pauli seed={seed} ns={ns}")
+    return ShadowSet._owned(letters, bits, np.ones(ns, dtype=np.int64))
 
 
 def _require(shadows: ShadowSet, least: int, what: str) -> int:

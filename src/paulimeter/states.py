@@ -194,8 +194,11 @@ class SubsystemMask:
     @classmethod
     def from_text(cls, n: int, text: str) -> "SubsystemMask":
         """Parse labels joined by commas or hyphens, e.g. ``"1,2"``."""
-        parts = [p for p in text.replace("-", ",").split(",") if p]
-        return cls(n, frozenset(int(p) for p in parts))
+        try:
+            members = frozenset(int(p) for p in text.replace("-", ",").split(",") if p)
+        except ValueError:
+            raise ValueError(f"bad mask {text!r}; expected site labels joined by commas") from None
+        return cls(n, members)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -315,7 +318,8 @@ def sample_outcomes(rho: DensityMatrix, basis: PauliString, uniforms: np.ndarray
     per uniform draw in [0, 1); returns a (len(uniforms), n) uint8 bit array.
 
     Each basis's CDF table is kept on the state, up to 2^20 entries per
-    state, so a repeated basis costs only the lookup.
+    state, so a repeated basis costs only the lookup.  The bits go into the
+    output ``_BLOCK_DRAWS`` draws at a time, so no int64 (draws, n) array is built.
     """
     if len(uniforms) < 1:
         raise ValueError("shots must be >= 1")
@@ -325,10 +329,12 @@ def sample_outcomes(rho: DensityMatrix, basis: PauliString, uniforms: np.ndarray
         if (len(rho._cdfs) + 1) * len(cdf) <= _CDF_MEMO_ENTRIES:
             rho._cdfs[basis] = cdf
     draws = np.searchsorted(cdf, uniforms, side="right")
-    draws = np.minimum(draws, len(cdf) - 1)
-    n = rho.n
-    shifts = n - 1 - np.arange(n)
-    return ((draws[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    np.minimum(draws, len(cdf) - 1, out=draws)
+    shifts = rho.n - 1 - np.arange(rho.n)
+    bits = np.empty((len(draws), rho.n), dtype=np.uint8)
+    for lo in range(0, len(draws), _BLOCK_DRAWS):
+        bits[lo:lo + _BLOCK_DRAWS] = draws[lo:lo + _BLOCK_DRAWS, None] >> shifts & 1
+    return bits
 
 
 def sample_settings(rho: DensityMatrix, letters: np.ndarray, shots: int,
@@ -376,7 +382,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # draws per block of the PCG64 replay: its uint64 temporaries stay in cache
-# (3x faster than one pass at 2M draws) and their memory stays bounded
+# (3x faster than one pass at 2M draws) and their memory stays bounded; also
+# the draws per block of sample_outcomes' bit expansion
 _BLOCK_DRAWS = 2 ** 14
 # settings per block of the seed hashing, whose uint32 lanes (held in
 # uint64) would otherwise grow with the setting count; it also caps the

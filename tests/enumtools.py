@@ -115,6 +115,15 @@ def noisy_ghz_born(n, p, codes):
     return (1 - p) * np.array(q) + p / 2 ** n
 
 
+def snapshot_matrix(codes, bits):
+    """One snapshot's dense matrix kron_j (I + 3 s_j W_j)/2, from its row of
+    letter codes (1=X, 2=Y, 3=Z) and outcome bits, through ``_FACTOR``."""
+    out = np.ones((1, 1), dtype=complex)
+    for code, bit in zip(codes, bits):
+        out = np.kron(out, _FACTOR[code - 1, bit])
+    return out
+
+
 def snapshot_sum_kron(shadows):
     """T1 = sum_k kron_j F_kj of a ShadowSet, one 2^n x 2^n Kronecker product
     per snapshot, summed in row chunks from a zero matrix."""

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from enumtools import enumerate_moments, permutation_moment_oracle, weighted_shots
+from enumtools import enumerate_moments, permutation_moment_oracle, snapshot_matrix, weighted_shots
 from paulimeter.estimators import (
     ShotBatch,
-    ShotRecord,
     per_shot_estimates,
     variance_generic,
     variance_grouping,
@@ -42,7 +41,6 @@ from paulimeter.schemes import (
     plan_ldf,
     plan_uniform_cs,
 )
-from paulimeter.shadows import snapshot
 from paulimeter.states import (
     SubsystemMask,
     born_distribution,
@@ -113,8 +111,8 @@ def test_criterion_2_channel_inversion_exact():
         rho = random_mixed_state(n, rng)
         records, weights = weighted_shots(plan_uniform_cs(n), rho)
         mean = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for rec, w in zip(records, weights):
-            mean += w * snapshot(rec.basis, rec.bits).to_matrix()
+        for codes, bits, w in zip(records.letters, records.bits, weights):
+            mean += w * snapshot_matrix(codes, bits)
         worst = max(worst, float(np.max(np.abs(mean - rho.mat))))
     elapsed = time.monotonic() - t0
     passed = worst <= 1e-12 and elapsed < 1.0
@@ -289,7 +287,8 @@ def empirical_single_shot_variance(plan, o, rho, shots, seed):
     bases = [PauliString.from_codes(row) for row in draw_bases(plan, shots, rng)]
     counts = collections.Counter((b.x, b.z) for b in bases)
     lookup = {}
-    records = []
+    letters = []
+    bits = []
     reps = []
     for (bx, bz), c in sorted(counts.items()):
         basis = bases[next(i for i, b in enumerate(bases) if (b.x, b.z) == (bx, bz))]
@@ -299,10 +298,10 @@ def empirical_single_shot_variance(plan, o, rho, shots, seed):
         for idx, m in enumerate(outcome_counts):
             if m == 0:
                 continue
-            bits = tuple((idx >> (n - 1 - i)) & 1 for i in range(n))
-            records.append(ShotRecord(basis, bits))
+            letters.append(basis.codes())
+            bits.append([(idx >> (n - 1 - i)) & 1 for i in range(n)])
             reps.append(int(m))
-    batch = ShotBatch([r.basis.codes() for r in records], [r.bits for r in records])
+    batch = ShotBatch(letters, bits)
     values = per_shot_estimates(batch, plan, o)
     w = np.array(reps, dtype=float)
     total = w.sum()

@@ -17,7 +17,6 @@ from paulimeter.errors import (
 )
 from paulimeter.estimators import (
     ShotBatch,
-    ShotRecord,
     estimate,
     estimate_derandomized,
     per_shot_estimates,
@@ -50,17 +49,6 @@ RHO_A = random_mixed_state(2, np.random.default_rng(42))
 RHO_B = random_mixed_state(2, np.random.default_rng(43))
 
 
-def test_shot_record_validation():
-    with pytest.raises(ValueError):
-        ShotRecord(P("ZI"), (0, 0))
-    with pytest.raises(ValueError):
-        ShotRecord(P("ZZ"), (0,))
-    with pytest.raises(ValueError):
-        ShotRecord(P("ZZ"), (0, 2))
-    with pytest.raises(ValueError):
-        ShotRecord(P("ZZ"), (0, 0), reps=0)
-
-
 @pytest.mark.parametrize(
     "letters,bits,reps",
     [
@@ -69,8 +57,11 @@ def test_shot_record_validation():
         ([[3, 3]], [[0, 0]], [0]),
         ([[3, 3]], [[0]], [1]),
         ([[3, 3]], [[0, 0]], [1, 1]),
+        ([[3, 3], [1, 3]], [[0, 0], [0, 1]], [2 ** 62, 2 ** 62]),
+        ([[3, 3], [1, 3]], [[0, 0], [0, 1]], [2 ** 52, 2 ** 52]),
     ],
-    ids=["identity", "bit2", "reps0", "bits-shape", "reps-shape"],
+    ids=["identity", "bit2", "reps0", "bits-shape", "reps-shape", "shots-wrap-int64",
+         "shots-2^53"],
 )
 def test_shot_batch_validation(letters, bits, reps):
     with pytest.raises(ValueError):
@@ -80,8 +71,10 @@ def test_shot_batch_validation(letters, bits, reps):
 def test_shot_batch_rows():
     batch = ShotBatch([[3, 1], [2, 2], [1, 3]], [[0, 1], [1, 1], [0, 0]], [1, 4, 2])
     assert batch.n == 2 and len(batch) == 3 and batch.shots == 7
-    assert batch[1] == ShotRecord(P("YY"), (1, 1), 4)
-    assert [r.basis for r in batch] == [P("ZX"), P("YY"), P("XZ")]
+    assert batch.letters[1].tolist() == list(P("YY").codes())
+    assert batch.bits[1].tolist() == [1, 1] and batch.reps[1] == 4
+    # the largest total below 2^53 is counted exactly
+    assert ShotBatch([[3], [1]], [[0], [1]], [2 ** 52, 2 ** 52 - 1]).shots == 2 ** 53 - 1
     assert batch == ShotBatch(batch.letters.copy(), batch.bits.copy(), batch.reps.copy())
     assert batch != ShotBatch(batch.letters, batch.bits)
 
@@ -100,7 +93,7 @@ def test_batches_the_package_builds_are_not_copied(monkeypatch):
     assert np.shares_memory(batch.bits, built[0]) and not built[0].flags.writeable
     letters = np.array([[3, 1], [2, 2]], dtype=np.int8)
     bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
-    sh = ShadowSet._from_bits(letters, bits)
+    sh = ShadowSet._owned(letters, bits, np.ones(2, dtype=np.int64))
     assert np.shares_memory(sh.letters, letters) and np.shares_memory(sh.bits, bits)
     assert not letters.flags.writeable
     # the public constructors still copy what callers pass

@@ -227,7 +227,7 @@ def test_cli_plan_sample_estimate_pipeline(tmp_path):
     )
     assert result.exit_code == 0
     records = parse_records(str(rec_path))
-    assert sum(r.reps for r in records) == 120
+    assert records.shots == 120
     result = run_cli(
         [
             "estimate",
@@ -273,7 +273,7 @@ def test_cli_uniform_cs_sample_needs_no_hamiltonian(tmp_path):
     assert result.exit_code == 0
     records = parse_records(str(rec_path))
     assert len(records) == 10
-    assert records[0].basis.n == 2
+    assert records.n == 2
 
 
 def test_cli_shadows_purity_certify_pipeline(tmp_path):
@@ -562,6 +562,11 @@ MALFORMED_PLANS = [
     pytest.param("cs", lambda d: d.__setitem__("scheme", "bogus"), "unknown scheme 'bogus'",
                  id="unknown-scheme"),
     pytest.param("l1", lambda d: d["terms"].__setitem__(0, "XYZ"), "n=4", id="term-of-wrong-n"),
+    # json writes and reads NaN; both probability checks are false for it
+    pytest.param("l1", lambda d: d["distribution"]["entries"][0].__setitem__(1, float("nan")),
+                 "finite", id="nan-explicit-probability"),
+    pytest.param("lbcs", lambda d: d["distribution"]["q"][0].__setitem__(0, float("nan")),
+                 "finite", id="nan-product-probability"),
 ]
 
 
@@ -635,12 +640,19 @@ def test_observables_notes_report_count_and_weight_separately():
 def error_inputs(tmp_path_factory):
     """The input files the error-path cases name: a sum with no terms, a
     sum of identity terms only, a term of the wrong size, an empty record
-    file, 11-qubit snapshots and one corrupted plan per MALFORMED_PLANS case."""
+    file, 11-qubit snapshots, non-finite coefficients, shot totals past
+    2^53 and past memory, and one corrupted plan per MALFORMED_PLANS case."""
     tmp_path = tmp_path_factory.mktemp("error-inputs")
     (tmp_path / "empty.ham").write_text("n 2\n")
     (tmp_path / "bad.ham").write_text("n 2\n0.5 XYZ\n")
     (tmp_path / "identity.ham").write_text("n 2\n0.5 II\n")
     (tmp_path / "empty.rec").write_text("# no shots\n")
+    (tmp_path / "nan.ham").write_text("n 2\nnan ZZ\n0.5 XX\n")
+    (tmp_path / "inf.ham").write_text("n 2\ninf ZZ\n0.5 XX\n")
+    (tmp_path / "zz.ham").write_text("n 2\n1 ZZ\n")
+    (tmp_path / "two.rec").write_text("XZ 01\nZZ 00\n")
+    (tmp_path / "wrap.rec").write_text(f"XZ 01 {2 ** 62}\nZZ 00 {2 ** 62}\n")
+    (tmp_path / "huge.rec").write_text(f"XZ 01 {2 ** 50}\n")
     write_records(str(tmp_path / "wide.rec"), ShadowSet(11, np.ones((3, 11)), np.ones((3, 11))).records())
     for case in MALFORMED_PLANS:
         scheme, corrupt, _ = case.values
@@ -666,6 +678,12 @@ ERROR_PATHS = {
     "shadows-fidelity-below-mixed": "shadows --qubits 2 --fidelity 0.1 --out {tmp}/s.rec",
     "bench-certify-fidelity-below-mixed": "bench certify --qubits 2 --fidelity 0.1 --ns 10 --reps 1",
     "purity-bad-mask": "purity --qubits 3 --mask 9",
+    "purity-mask-label": "purity --qubits 3 --mask 1,a",
+    "bench-jobs-0": "bench certify --qubits 2 --ns 10 --reps 1 --jobs 0",
+    "plan-nan-coefficient": "plan --scheme l1 --hamiltonian {tmp}/nan.ham",
+    "estimate-inf-coefficient": "estimate --records {tmp}/two.rec --hamiltonian {tmp}/inf.ham --scheme cs",
+    "estimate-shots-past-2^53": "estimate --records {tmp}/wrap.rec --hamiltonian {tmp}/zz.ham --scheme cs",
+    "purity-snapshots-past-memory": "purity --records {tmp}/huge.rec",
     "plan-missing-file": "plan --scheme l1 --hamiltonian {tmp}/missing.ham",
     "plan-bad-term": "plan --scheme l1 --hamiltonian {tmp}/bad.ham",
     "plan-unknown-builtin": "plan --scheme l1 --hamiltonian builtin:nothing",

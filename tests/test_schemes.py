@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumtools import plan_derandomized_loop
+from paulimeter import schemes
 from paulimeter.errors import DegenerateObservable, PlanMismatch
 from paulimeter.experiments import default_observable_pool
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
@@ -75,10 +76,6 @@ def test_plan_ldf_worked_example():
     assert [str(b) for b, _ in plan.distribution.explicit] == ["XX", "ZZ"]
     probs = [p for _, p in plan.distribution.explicit]
     assert probs == pytest.approx([0.25 / 2.0, 1.75 / 2.0])
-    uniform = plan_ldf(o, probabilities="uniform")
-    assert [p for _, p in uniform.distribution.explicit] == pytest.approx([0.5, 0.5])
-    with pytest.raises(ValueError):
-        plan_ldf(o, probabilities="other")
 
 
 def test_plan_ldf_single_group_when_all_compatible():
@@ -140,10 +137,11 @@ def test_plan_lbcs_beats_uniform_on_lattice():
     assert diagonal_cost(q, lat) <= diagonal_cost(uniform, lat) + 1e-9
 
 
-def test_plan_lbcs_sweep_limit_flag():
+def test_plan_lbcs_sweep_limit_flag(monkeypatch):
     lat = builtin_hamiltonian("lattice4")
-    assert plan_lbcs(lat, max_sweeps=1).converged is False
     assert plan_lbcs(lat).converged is True
+    monkeypatch.setattr(schemes, "_LBCS_SWEEPS", 1)
+    assert plan_lbcs(lat).converged is False
 
 
 def test_plan_derandomized_balanced_pair():
@@ -236,6 +234,15 @@ def test_basis_distribution_validation():
         BasisDistribution("product", product=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         BasisDistribution("other")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_basis_distribution_rejects_non_finite_probabilities(bad):
+    # NaN passes both a sign test and a sum test, as every comparison with it is false
+    with pytest.raises(ValueError, match="finite"):
+        BasisDistribution("explicit", explicit=((P("ZZ"), bad), (P("XX"), 0.5)))
+    with pytest.raises(ValueError, match="finite"):
+        BasisDistribution("product", product=np.array([[bad, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]]))
 
 
 @pytest.mark.parametrize("name", ["lattice4", "pool"])

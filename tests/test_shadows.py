@@ -11,19 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paulimeter.shadows as shadows_module
-from enumtools import snapshot_sum_kron, weighted_shots
-from paulimeter.errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FeasibilityError,
-    InvalidBasis,
-)
+from enumtools import snapshot_matrix, snapshot_sum_kron, weighted_shots
+from paulimeter.errors import DimensionMismatch, EmptyInput, FeasibilityError
 from paulimeter.estimators import ShotBatch, estimate
 from paulimeter.paulis import PauliString, WeightedPauliSum
 from paulimeter.schemes import plan_uniform_cs
 from paulimeter.shadows import (
     ShadowSet,
-    Snapshot,
     _build_snapshot_sum,
     _pair_kernel,
     _snapshot_sum,
@@ -33,7 +27,6 @@ from paulimeter.shadows import (
     purity_certificate,
     purity_ustat,
     reconstruct_mean,
-    snapshot,
 )
 from paulimeter.states import (
     SubsystemMask,
@@ -70,30 +63,21 @@ def pt_sites(mat: np.ndarray, n: int, sites) -> np.ndarray:
 
 
 def test_snapshot_single_site_factors():
-    s = snapshot(P("Z"), (0,))
-    np.testing.assert_allclose(s.to_matrix(), np.diag([2.0, -1.0]))
-    s = snapshot(P("Z"), (1,))
-    np.testing.assert_allclose(s.to_matrix(), np.diag([-1.0, 2.0]))
+    np.testing.assert_allclose(snapshot_matrix([3], [0]), np.diag([2.0, -1.0]))
+    np.testing.assert_allclose(snapshot_matrix([3], [1]), np.diag([-1.0, 2.0]))
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     want = 3.0 * np.outer(minus, minus) - np.eye(2)
-    np.testing.assert_allclose(snapshot(P("X"), (1,)).to_matrix(), want, atol=1e-12)
+    np.testing.assert_allclose(snapshot_matrix([1], [1]), want, atol=1e-12)
 
 
 def test_snapshot_tensor_structure_and_trace():
-    s = snapshot(P("ZX"), (0, 1))
+    s = snapshot_matrix(P("ZX").codes(), (0, 1))
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     x1 = 3.0 * np.outer(minus, minus) - np.eye(2)
-    np.testing.assert_allclose(s.to_matrix(), np.kron(np.diag([2.0, -1.0]), x1), atol=1e-12)
-    assert np.trace(s.to_matrix()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_snapshot_validation():
-    with pytest.raises(InvalidBasis):
-        snapshot(P("ZI"), (0, 0))
-    with pytest.raises(DimensionMismatch):
-        snapshot(P("ZZ"), (0,))
-    with pytest.raises(ValueError):
-        Snapshot(P("ZZ"), (0, 2))
+    np.testing.assert_allclose(s, np.kron(np.diag([2.0, -1.0]), x1), atol=1e-12)
+    assert np.trace(s) == pytest.approx(1.0, abs=1e-12)
+    # a one-snapshot set reconstructs to the same matrix
+    np.testing.assert_allclose(reconstruct_mean(ShadowSet(2, [[3, 1]], [[1, -1]])), s, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -101,8 +85,8 @@ def test_channel_inversion_is_exact(n):
     rho = random_mixed_state(n, np.random.default_rng(17 + n))
     records, weights = weighted_shots(plan_uniform_cs(n), rho)
     mean = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for rec, w in zip(records, weights):
-        mean += w * snapshot(rec.basis, rec.bits).to_matrix()
+    for codes, bits, w in zip(records.letters, records.bits, weights):
+        mean += w * snapshot_matrix(codes, bits)
     np.testing.assert_allclose(mean, rho.mat, atol=1e-12)
 
 
@@ -110,8 +94,8 @@ def test_mean_reduced_snapshot_is_unbiased():
     rho = random_mixed_state(2, np.random.default_rng(23))
     records, weights = weighted_shots(plan_uniform_cs(2), rho)
     mean = np.zeros((2, 2), dtype=complex)
-    for rec, w in zip(records, weights):
-        mean += w * reduce_sites(snapshot(rec.basis, rec.bits).to_matrix(), 2, (0,))
+    for codes, bits, w in zip(records.letters, records.bits, weights):
+        mean += w * reduce_sites(snapshot_matrix(codes, bits), 2, (0,))
     np.testing.assert_allclose(mean, reduce_sites(rho.mat, 2, (0,)), atol=1e-12)
 
 
@@ -122,9 +106,6 @@ def test_collect_shadows_deterministic():
     np.testing.assert_array_equal(a.letters, b.letters)
     np.testing.assert_array_equal(a.signs, b.signs)
     assert len(a) == 50
-    snap = a[4]
-    assert snap.basis == PauliString.from_codes(a.letters[4].tolist())
-    assert snap.bits == tuple(int(s < 0) for s in a.signs[4])
     with pytest.raises(ValueError):
         collect_shadows(rho, 0, 1)
 
@@ -146,6 +127,14 @@ def test_records_round_trip_and_validation():
         ShadowSet(1, np.array([[1]]), np.array([[2]]))
 
 
+def test_snapshots_past_memory_are_a_feasibility_error():
+    # 2^50 snapshots of 2 sites need 2 PiB per array: more than any address
+    # space holds, so the allocation fails before a byte is written
+    batch = ShotBatch([P("XZ").codes()], [(0, 1)], [2 ** 50])
+    with pytest.raises(FeasibilityError, match=f"^{2 ** 50} snapshots do not fit in memory$"):
+        ShadowSet.from_records(batch)
+
+
 def test_pickle_round_trip_keeps_arrays_read_only_and_drops_memo():
     batch = ShotBatch([P("XZ").codes(), P("YY").codes()], [(0, 1), (1, 1)], [3, 1])
     back = pickle.loads(pickle.dumps(batch))
@@ -154,7 +143,7 @@ def test_pickle_round_trip_keeps_arrays_read_only_and_drops_memo():
     p3_ppt_certificate(sh, SubsystemMask.of(3, 1))
     assert sh._sums
     copy = pickle.loads(pickle.dumps(sh))
-    assert type(copy) is ShadowSet and copy == sh and copy.seed_info == sh.seed_info
+    assert type(copy) is ShadowSet and copy == sh
     assert copy._sums == {}
     for arr in (back.letters, back.bits, back.reps, copy.letters, copy.bits, copy.reps):
         assert not arr.flags.writeable
@@ -171,7 +160,7 @@ def test_snapshot_sum_across_chunks_matches_dense_snapshots():
     # 600 snapshots at n=6 are a 37.5 MiB stack of blocks, past the 32 MiB
     # budget: T1 is split on site 0 and each subtree is grouped on its own
     sh = random_set(6, 600, 9)
-    want = sum(sh[k].to_matrix() for k in range(len(sh)))
+    want = sum(snapshot_matrix(sh.letters[k], sh.bits[k]) for k in range(len(sh)))
     np.testing.assert_allclose(_build_snapshot_sum(sh), want, rtol=0, atol=1e-9)
 
 
@@ -228,7 +217,7 @@ def test_feature_map_pair_sum_across_chunks_matches_pair_table():
 def test_reconstruct_mean_matches_snapshot_average():
     rho = random_mixed_state(2, np.random.default_rng(31))
     sh = collect_shadows(rho, 40, 8)
-    want = sum(sh[k].to_matrix() for k in range(40)) / 40
+    want = sum(snapshot_matrix(sh.letters[k], sh.bits[k]) for k in range(40)) / 40
     got = reconstruct_mean(sh)
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
@@ -244,7 +233,8 @@ def test_shadow_estimate_equals_uniform_kernel_estimate():
     plan = plan_uniform_cs(2)
     kernel = estimate(sh, plan, o)
     # the mean of Tr(rho_hat O) over the dense snapshot matrices
-    dense = np.mean([np.trace(sh[k].to_matrix() @ o.to_matrix()).real for k in range(len(sh))])
+    dense = np.mean([np.trace(snapshot_matrix(codes, bits) @ o.to_matrix()).real
+                     for codes, bits in zip(sh.letters, sh.bits)])
     assert kernel.value == pytest.approx(dense, abs=1e-10)
     assert abs(kernel.value - exact_expectation(rho, o)) < 5 * 3.0 / math.sqrt(400)
 
@@ -283,7 +273,7 @@ def test_purity_ustat_matches_matrix_brute_force():
     rho = random_mixed_state(3, np.random.default_rng(13))
     for count in BOTH_PAIR_SUM_PATHS:
         sh = collect_shadows(rho, count, 3)
-        mats = [sh[k].to_matrix() for k in range(count)]
+        mats = [snapshot_matrix(sh.letters[k], sh.bits[k]) for k in range(count)]
         for members in ({1}, {1, 3}, {1, 2, 3}):
             mask = SubsystemMask(3, frozenset(members))
             keep = mask.indices
@@ -305,7 +295,8 @@ def test_pt_moment_matches_matrix_brute_force():
         )
         for mask in (SubsystemMask(3, frozenset(m)) for k in (1, 2, 3)
                      for m in itertools.combinations((1, 2, 3), k)):
-            mats = np.array([pt_sites(sh[j].to_matrix(), 3, mask.indices) for j in idx])
+            mats = np.array([pt_sites(snapshot_matrix(sh.letters[j], sh.bits[j]), 3, mask.indices)
+                             for j in idx])
             pairs = np.einsum("aij,bji->ab", mats, mats).real
             total2 = pairs.sum() - np.trace(pairs)
             assert pt_moment_ustat(sh, mask, 2) == pytest.approx(

@@ -91,6 +91,8 @@ def test_subsystem_mask_parsing_and_indices():
     assert SubsystemMask.full(3).indices == (0, 1, 2)
     with pytest.raises(ValueError):
         SubsystemMask.from_text(2, "3")
+    with pytest.raises(ValueError, match="^bad mask '1,a'; expected site labels"):
+        SubsystemMask.from_text(2, "1,a")
 
 
 def test_ghz_matrix_corners():
@@ -361,6 +363,23 @@ def test_sampling_is_seeded_and_close_to_born():
     for idx in range(16):
         sigma = np.sqrt(probs[idx] * (1 - probs[idx]) / 2000) + 1e-9
         assert abs(freqs[idx] - probs[idx]) < 5 * sigma + 1e-12
+
+
+def test_sample_outcomes_memory_is_a_small_multiple_of_its_output():
+    # an int64 array of every draw's n bits made the peak 11x the uint8 output
+    rho, basis = noisy_ghz(4, 0.1), P("XZZX")
+    u = uniforms(10 ** 6, 3)
+    sample_outcomes(rho, basis, u[:1])  # the CDF goes into the memo first
+    tracemalloc.start()
+    try:
+        bits = sample_outcomes(rho, basis, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * bits.nbytes
+    # the bits of every draw, in site order, as the one-pass expansion gives them
+    draws = np.minimum(np.searchsorted(rho._cdfs[basis], u[:5000], side="right"), 15)
+    np.testing.assert_array_equal(bits[:5000], (draws[:, None] >> np.arange(3, -1, -1)) & 1)
 
 
 def test_sample_outcomes_rejects_bad_shots():
