@@ -13,6 +13,14 @@ probability-weighted average of o_hat over bases and outcomes is exactly
 Tr(O rho) for every scheme; the analytic variance calculators below give the
 single-shot variance of the same estimators.  Each builds its kernel's second
 moments g[l, l'] = E_P[f(P, O_l) f(P, O_l')] and hands them to one kernel.
+
+o_hat, hits and signs depend only on a shot's basis and bits, so every
+estimator reads one key table (``_tables``): up to n = 5 it counts the
+unit-reps rows per (basis, bits) key, in blocks, and evaluates each term
+once per distinct key; other rows enter as they stand.  Its sums of
+integers and its exact products for ``math.fsum`` (``_exact_products``,
+exact below 2^53 shots while no value times its count reaches 2^1023) give
+the bytes of a loop over rows.
 """
 
 from __future__ import annotations
@@ -23,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    DimensionMismatch,
-    EmptyInput,
-    ForeignRecord,
-    PlanMismatch,
-)
+from .errors import CoverageError, DimensionMismatch, EmptyInput, ForeignRecord, PlanMismatch
 from .paulis import MAX_QUBITS, PauliString, WeightedPauliSum, _row_keys, multiply
 from .schemes import BasisDistribution, MeasurementPlan
 from .states import DensityMatrix, exact_expectation
@@ -46,10 +48,10 @@ class ShotBatch:
     an int8 (N, n) array, ``bits`` the outcome bits as a uint8 (N, n) array,
     and ``reps`` the int64 (N,) multiplicities: a row with reps=r stands for
     r unit shots that produced the same basis and the same outcome.  The
-    total shot count must stay below 2^53, the bound under which
-    :func:`per_term_expectations` sums exactly.  The constructor copies its
-    arrays; the package's own builders hand theirs over through ``_owned``.
-    Either way they are validated and made read-only once, in ``_adopt``.
+    total shot count must stay below 2^53, the bound under which the key
+    table's sums are exact.  The constructor copies its arrays; the
+    package's own builders hand theirs over through ``_owned``.  Either way
+    they are validated and made read-only once, in ``_adopt``.
     """
 
     def __init__(self, letters, bits, reps=None) -> None:
@@ -126,23 +128,57 @@ def _entry_of(o: WeightedPauliSum, plan: MeasurementPlan) -> np.ndarray:
     return np.array([owner.get(index.get((p.x, p.z)), -1) for p in o.paulis], dtype=np.int64)
 
 
-def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
-    """The estimator kernel, walked over blocks of at most ``_BLOCK_ROWS``
-    rows.  Returns each term's weight f(P, O_l, K), for which
-    f * sum(reps * mu) / shots is the term's estimate, and a generator of
-    blocks (lo, hi, per_term).  ``per_term`` yields, for each term O_l of o
-    in order, the mask of the block's rows that enter its estimate and their
-    mu(b, supp O_l) = +-1.
+def _keys(batch: ShotBatch, lo: int, hi: int) -> np.ndarray:
+    """Keys of rows lo..hi, below 6^n: one base-6 digit 2 (P_i - 1) + b_i per
+    site i, from letter code P_i and bit b_i, site 0 least significant."""
+    digits = 2 * batch.letters[lo:hi] + batch.bits[lo:hi]
+    keys = np.zeros(hi - lo, dtype=np.int64)
+    for i in reversed(range(batch.n)):  # Horner's rule, in place
+        keys *= 6
+        keys += digits[:, i]
+    return keys - 2 * (6 ** batch.n - 1) // 5
 
-    Explicit plans: the rows measured in the entry that owns the term, with
-    f = 1/K(entry); a term the plan does not own gets no rows.  Product
-    plans: the rows whose basis hits the term, with f the product over the
-    support of 1/K_i(P_i).  Fixed-bases plans: the rows that hit the term,
-    with f = shots/s_l, which turns the mean into the average over hits;
-    it waits for the hit counts, so the weights are None.  The first row
-    that the plan could not have measured raises ForeignRecord when its
-    block is reached.
-    """
+
+def _tables(batch: ShotBatch, plan: MeasurementPlan, table, lo: int, hi: int):
+    """The key table of rows lo..hi, as tables ``table(letters, bits, reps *
+    rows)``, reps, rows.  Blocks whose rows all have reps 1 add into one
+    ``np.bincount`` table, yielded last, if the 6^n keys fit in a block;
+    every other block is yielded with its rows as they stand (rows = 1).
+    A row off its fixed basis raises ForeignRecord."""
+    bins = 6 ** batch.n if 6 ** batch.n <= _BLOCK_ROWS else 0
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(lo, hi, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi)
+        letters, bits, reps = batch.letters[start:stop], batch.bits[start:stop], batch.reps[start:stop]
+        if plan.scheme == "derand":
+            setting = np.arange(start, stop) // (len(batch) // len(plan.fixed_bases))
+            wrong = np.flatnonzero(np.any(letters != plan.letters[setting], axis=1))
+            if wrong.size:
+                k = setting[wrong[0]]
+                raise ForeignRecord(f"record basis {PauliString.from_codes(letters[wrong[0]])} does not "
+                                    f"match planned basis {plan.fixed_bases[k]} (setting {k})")
+        if bins and reps.max() == 1:
+            counts += np.bincount(_keys(batch, start, stop), minlength=bins)
+        else:
+            yield *table(letters, bits, reps.astype(float)), reps, np.ones_like(reps)
+    seen = np.flatnonzero(counts)
+    if seen.size:
+        digits = (seen[:, None] // 6 ** np.arange(batch.n) % 6).astype(np.int8)
+        yield *table(digits // 2 + 1, digits % 2, counts[seen].astype(float)), 1, counts[seen]
+
+
+def _kernel(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum, o_hat: bool):
+    """The estimator kernel: checks the arguments and returns each term's
+    weight f(P, O_l, K), for which f * sum(reps * mu) / shots is the term's
+    estimate, ``table(letters, bits, shots)`` and the hit counts s_l.  For
+    the keys of a table, ``table`` adds the shots that hit each term into
+    s_l and returns per term the sum of their mu(b, supp O_l) = +-1, and per
+    key o_hat if asked for: the hit terms' alpha_l f mu added in term order
+    from 0.0.  Explicit plans: the keys of the entry that owns the term,
+    f = 1/K(entry); a basis that is no entry raises ForeignRecord at its
+    first row.  Product plans: the keys whose basis hits the term, f = prod
+    over the support of 1/K_i(P_i).  Fixed bases: the keys that hit it,
+    f = shots/s_l, so the weights are None."""
     if o.n != plan.n:
         raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
     if len(batch) == 0:
@@ -150,169 +186,130 @@ def _terms(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum):
     if batch.n != plan.n:
         raise DimensionMismatch(f"records of n={batch.n} do not fit plan n={plan.n}")
     dist = plan.distribution
-    kind = "fixed" if plan.scheme == "derand" else dist.kind
+    explicit = plan.scheme != "derand" and dist.kind == "explicit"
     weights = None
-    if kind == "fixed":
+    if plan.scheme == "derand":
         nb = len(plan.fixed_bases)
         if nb == 0 or len(batch) % nb != 0:
             raise PlanMismatch(f"{len(batch)} records do not cover {nb} planned settings evenly")
-        nr = len(batch) // nb
-    elif kind == "explicit":
+    elif explicit:
         entry_of = _entry_of(o, plan)
-        entry_keys = _row_keys(plan.letters)
-        order = np.argsort(entry_keys)
         weights = [1.0 / dist.explicit[e][1] if e >= 0 else 0.0 for e in entry_of]
-    else:
-        weights = []
-        for codes in o.letters:
-            f = 1.0
-            for i in np.flatnonzero(codes):
-                f /= dist.product[i, codes[i] - 1]
-            weights.append(f)
-    supports = [np.flatnonzero(codes) for codes in o.letters]
+        entry_keys = _row_keys(plan.letters)
+        owner = np.where(entry_of >= 0, entry_keys[entry_of], -1)  # basis key of each term's entry
+    else:  # divided site by site in site order
+        weights = [np.divide.reduce(dist.product[c > 0, c[c > 0] - 1], initial=1.0) for c in o.letters]
 
-    def per_term(letters, bits, ids):
-        for l, (codes, supp) in enumerate(zip(o.letters, supports)):
-            if kind == "explicit":
-                rows = ids == entry_of[l]
-            else:
-                rows = np.all(letters[:, supp] == codes[supp], axis=1)
-            parity = bits[rows][:, supp].sum(axis=1) & 1
-            yield rows, 1.0 - 2.0 * parity
-
-    def blocks():
-        for lo in range(0, len(batch), _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, len(batch))
-            letters, ids = batch.letters[lo:hi], None
-            if kind == "fixed":
-                planned = plan.letters[np.arange(lo, hi) // nr]
-                wrong = np.flatnonzero(np.any(letters != planned, axis=1))
-                if wrong.size:
-                    k = lo + int(wrong[0])
-                    basis = PauliString.from_codes(letters[wrong[0]])
-                    raise ForeignRecord(f"record basis {basis} does not match planned "
-                                        f"basis {plan.fixed_bases[k // nr]} (setting {k // nr})")
-            elif kind == "explicit":
-                keys = _row_keys(letters)
-                ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order),
-                                       len(order) - 1)]
-                foreign = np.flatnonzero(entry_keys[ids] != keys)
-                if foreign.size:
-                    raise ForeignRecord(f"basis {PauliString.from_codes(letters[foreign[0]])} "
+    def table(letters, bits, shots):
+        if explicit:
+            basis = _row_keys(letters)
+            for lo in range(0, 0 if np.isin(basis, entry_keys).all() else len(batch), _BLOCK_ROWS):
+                bad = np.flatnonzero(~np.isin(_row_keys(batch.letters[lo:lo + _BLOCK_ROWS]), entry_keys))
+                if bad.size:
+                    raise ForeignRecord(f"basis {PauliString.from_codes(batch.letters[lo + bad[0]])} "
                                         "is not an entry of the plan")
-            yield lo, hi, per_term(letters, batch.bits[lo:hi], ids)
+        signed, values = np.zeros(len(o)), np.zeros(len(letters))
+        for l, codes in enumerate(o.letters):
+            supp = np.flatnonzero(codes)
+            hit = basis == owner[l] if explicit else np.all(letters[:, supp] == codes[supp], axis=1)
+            mu = 1.0 - 2.0 * (bits[hit][:, supp].sum(axis=1) & 1)
+            hit_shots = shots[hit]  # integers below 2^53: their sums are exact in any order
+            s_l[l], signed[l] = s_l[l] + hit_shots.sum(), np.dot(mu, hit_shots)
+            if o_hat:
+                values[hit] += o.coeffs[l] * weights[l] * mu
+        return signed, values
 
-    return weights, blocks()
+    s_l = np.zeros(len(o))
+    return weights, table, s_l
+
+
+def _exact_products(values: np.ndarray, rows: np.ndarray) -> list[float]:
+    """Floats whose exact sum is that of the stream in which values[k] occurs
+    rows[k] times, so ``math.fsum`` rounds both alike.  A value seen once
+    enters as it is.  Any other value is m 2^e with 1/2 <= |m| < 1
+    (``np.frexp``); Veltkamp's split makes m hi + lo of 26 bits each, and
+    the count, below 2^53, is a multiple of 2^27 of 26 bits plus a rest
+    below 2^27.  The four products, scaled back by 2^e, are exact while
+    |values[k]| rows[k] stays below 2^1023; small and subnormal values lose
+    no bit.  A non-finite value alone sets fsum's inf, nan or ValueError,
+    so then each value enters once."""
+    once = rows == 1
+    if once.all() or not np.isfinite(values).all():
+        return values.tolist()
+    m, e = np.frexp(values[~once])
+    big = m * 134217729.0  # 2^27 + 1
+    hi = big - (big - m)
+    lo = m - hi
+    rows = rows[~once]
+    high, low = (rows >> 27 << 27).astype(float), (rows & (2 ** 27 - 1)).astype(float)
+    products = np.concatenate([hi * high, hi * low, lo * high, lo * low])
+    return values[once].tolist() + np.ldexp(products, np.tile(e, 4)).tolist()
 
 
 def per_shot_estimates(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum) -> np.ndarray:
-    """o_hat for every row (in row order; reps NOT expanded)."""
+    """o_hat for every row (in row order; reps NOT expanded), block by block."""
+    if plan.scheme == "derand":
+        raise PlanMismatch("per-shot estimation applies to randomized plans")
+    _, table, _ = _kernel(batch, plan, o, o_hat=True)
     values = np.empty(len(batch))
-    for lo, block in _shot_values(batch, plan, o, np.zeros(len(o), dtype=np.int64)):
-        values[lo:lo + len(block)] = block
+    for lo in range(0, len(batch), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(batch))
+        values[lo:hi] = table(batch.letters[lo:hi], batch.bits[lo:hi], np.zeros(hi - lo))[1]
     return values
 
 
-def _shot_values(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum, s_l: np.ndarray):
-    """o_hat per row, as (lo, values) blocks in row order; each block adds
-    its hit counts into s_l before it is yielded.  The arguments are checked
-    at once, the rows as the blocks are drawn."""
-    if plan.scheme == "derand":
-        raise PlanMismatch("per-shot estimation applies to randomized plans")
-    weights, blocks = _terms(batch, plan, o)
-    scales = [coeff * f for coeff, f in zip(o.coeffs, weights)]
-
-    def values():
-        for lo, hi, per_term in blocks:
-            reps = batch.reps[lo:hi]
-            block = np.zeros(hi - lo)
-            for l, (rows, mu) in enumerate(per_term):
-                s_l[l] += reps[rows].sum()
-                block[rows] += scales[l] * mu
-            yield lo, block
-
-    return values()
-
-
-def per_term_expectations(
-    batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum
-) -> tuple[np.ndarray, np.ndarray]:
+def per_term_expectations(batch: ShotBatch, plan: MeasurementPlan,
+                          o: WeightedPauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Per-term estimates of <O_l> (coefficients not applied) and the
-    weighted hit counts s_l, under any plan kind.
-
-    For randomized plans a term's estimate is the all-shots mean of its
-    kernel contribution; for fixed-bases plans it is the signed-outcome
-    average over hitting shots (0.0 when never hit, flagged by s_l = 0).
-    The hit counts and the sums of reps * mu add up block by block; they
-    are integers, exact in any order while the shot count is below 2^53.
+    weighted hit counts s_l, under any plan kind.  For randomized plans a
+    term's estimate is the all-shots mean of its kernel contribution; for
+    fixed-bases plans it is the signed-outcome average over hitting shots
+    (0.0 when never hit, flagged by s_l = 0).  Hit counts and sums of
+    reps * mu are integers below 2^53, exact in any order.
     """
-    weights, blocks = _terms(batch, plan, o)
-    hits = np.zeros(len(o), dtype=np.int64)
-    s_l = np.zeros(len(o))
-    signed = np.zeros(len(o))
-    for lo, hi, per_term in blocks:
-        reps = batch.reps[lo:hi]
-        as_float = reps.astype(float)
-        for l, (rows, mu) in enumerate(per_term):
-            hit = as_float[rows]
-            s_l[l] += hit.sum()
-            signed[l] += np.dot(mu, hit)
-            if weights is None:
-                hits[l] += reps[rows].sum()
-    vals = np.zeros(len(o))
-    for l in np.flatnonzero(s_l > 0):
-        f = batch.shots / int(hits[l]) if weights is None else weights[l]
-        vals[l] = f * float(signed[l]) / batch.shots
+    weights, table, s_l = _kernel(batch, plan, o, o_hat=False)
+    signed = sum(sums for sums, _, _, _ in _tables(batch, plan, table, 0, len(batch)))
+    vals, hit = np.zeros(len(o)), s_l > 0
+    f = batch.shots / s_l[hit] if weights is None else np.asarray(weights)[hit]
+    vals[hit] = f * signed[hit] / batch.shots
     return vals, s_l
 
 
-def estimate(
-    batch: ShotBatch,
-    plan: MeasurementPlan,
-    o: WeightedPauliSum,
-    aggregator: str = "mean",
-    batches: int = 10,
-) -> EstimateReport:
+def estimate(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum,
+             aggregator: str = "mean", batches: int = 10) -> EstimateReport:
     """Estimate of Tr(O rho) under any plan: the mean of o_hat over all shots
-    for a randomized plan, :func:`estimate_derandomized` for a derandomized one.
-
-    A row with reps=r contributes as r unit shots.  ``aggregator`` may be
-    "mean" (default) or "medianmeans", which splits the rows into
+    for a randomized plan, :func:`estimate_derandomized` for a derandomized
+    one.  A row with reps=r contributes as r unit shots.  ``aggregator`` may
+    be "mean" (default) or "medianmeans", which splits the rows into
     ``batches`` consecutive batches and takes the median of the batch means;
     it needs a randomized plan (PlanMismatch otherwise).  Terms the dataset
     never hit are reported through s_l and epsilon0; their zero
-    contributions stay in the mean, which is what keeps it unbiased.  The
-    per-shot values stream block by block into ``math.fsum``, which rounds
-    their sum once, whatever the blocks.
+    contributions stay in the mean, which is what keeps it unbiased.  A
+    batch mean rounds its sum of o_hat * reps once (:func:`_exact_products`).
     """
     if aggregator not in ("mean", "medianmeans"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
     if aggregator == "medianmeans" and batches < 1:
         raise ValueError("batches must be >= 1")
-    if plan.scheme == "derand" and aggregator == "mean":
-        return estimate_derandomized(batch, plan, o)
-    s_l = np.zeros(len(o), dtype=np.int64)
-    # o_hat * reps of every row, in row order
-    weighted = itertools.chain.from_iterable(
-        values * batch.reps[lo:lo + len(values)] for lo, values in _shot_values(batch, plan, o, s_l))
-    if aggregator == "mean":
-        value = math.fsum(weighted) / batch.shots
-    else:
-        edges = np.linspace(0, len(batch), min(batches, len(batch)) + 1).astype(int)
-        value = float(np.median([math.fsum(itertools.islice(weighted, hi - lo)) / batch.reps[lo:hi].sum()
-                                 for lo, hi in zip(edges[:-1], edges[1:])]))
-    return _report(value, batch, o, s_l)
+    if plan.scheme == "derand":
+        if aggregator == "mean":
+            return estimate_derandomized(batch, plan, o)
+        raise PlanMismatch("per-shot estimation applies to randomized plans")
+    _, table, s_l = _kernel(batch, plan, o, o_hat=True)
+    edges = np.linspace(0, len(batch), (1 if aggregator == "mean" else min(batches, len(batch))) + 1)
+    means = []
+    for lo, hi in zip(edges[:-1].astype(int), edges[1:].astype(int)):
+        parts = (_exact_products(values * reps, rows)  # exact sum: that of o_hat * reps over lo..hi
+                 for _, values, reps, rows in _tables(batch, plan, table, lo, hi))
+        means.append(math.fsum(itertools.chain.from_iterable(parts)) / batch.reps[lo:hi].sum())
+    return _report(means[0] if aggregator == "mean" else np.median(means), batch, o, s_l)
 
 
-def estimate_derandomized(
-    batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum
-) -> EstimateReport:
-    """Estimator for a fixed-bases plan.
-
-    Every term averages its signed outcomes over all shots whose basis hits
-    it (s_l = total hit count, reps included); terms never hit are excluded
-    from the value and accumulate the initial bias epsilon0.
-    """
+def estimate_derandomized(batch: ShotBatch, plan: MeasurementPlan, o: WeightedPauliSum) -> EstimateReport:
+    """Estimator for a fixed-bases plan: every term averages its signed
+    outcomes over all shots whose basis hits it (s_l = total hit count, reps
+    included); terms never hit are excluded from the value and accumulate
+    the initial bias epsilon0."""
     if plan.scheme != "derand":
         raise PlanMismatch("plan does not carry fixed bases")
     vals, s_l = per_term_expectations(batch, plan, o)
@@ -364,9 +361,8 @@ def variance_grouping(plan: MeasurementPlan, o: WeightedPauliSum, rho: DensityMa
     return _second_moment(o, rho, (f * k) @ f.T)
 
 
-def variance_product_scheme(
-    dist: BasisDistribution, o: WeightedPauliSum, rho: DensityMatrix
-) -> tuple[float, float]:
+def variance_product_scheme(dist: BasisDistribution, o: WeightedPauliSum,
+                            rho: DensityMatrix) -> tuple[float, float]:
     """Exact single-shot variance of a product-distribution scheme plus the
     closed-form bound 3^(max_l |supp(O_l)|) (sum_l |alpha_l|)^2.
 

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, FeasibilityError
 from .estimators import ShotBatch, estimate, per_term_expectations
 from .paulis import PauliString, WeightedPauliSum, square
 from .schemes import (
@@ -148,7 +148,11 @@ def build_plan(scheme: str, o: WeightedPauliSum, n: int, ns: int) -> Measurement
 
 def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
                   ss: np.random.SeedSequence) -> ShotBatch:
-    """ns settings, nr unit shots each, in planned order."""
+    """ns settings, nr unit shots each, in planned order.  A batch holds
+    fewer than 2^53 shots, so a larger ns * nr is refused before anything
+    is allocated."""
+    if ns * nr >= 2 ** 53:
+        raise FeasibilityError(f"--ns {ns} times --nr {nr} is 2^53 shots or more")
     basis_ss, outcome_ss = ss.spawn(2)
     letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
     return ShotBatch._owned(np.repeat(letters, nr, axis=0), sample_settings(rho, letters, nr, outcome_ss),
@@ -166,7 +170,9 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _run_cells(worker, cells, jobs: int):
-    if jobs <= 1 or len(cells) <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(cells) <= 1:
         return [worker(c) for c in cells]
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(worker, cells))

@@ -154,11 +154,15 @@ def parse_records(path: str) -> ShotBatch:
     reps) is raised in the chunk that holds it.  Then comes EmptyInput.
     Then, held across chunks, the first failing row of the first column
     check that fails: basis width, letters, identity letters, bits width,
-    bit values.  After the first column error no row is stored.
+    bit values.  After the first column error no row is stored.  Then a
+    qubit count past MAX_QUBITS, at the first record line, and last the
+    line where the running shot total reaches 2^53.
     """
     n = None
     held = None  # (check, line number, message) of the first column error
+    crossed = None  # line number where the running shot total reaches 2^53
     lines = rows = 0
+    total = 0.0  # shots in the rows read so far
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         for data in _chunks(fh):
@@ -198,6 +202,13 @@ def parse_records(path: str) -> ShotBatch:
                       else "record lines are '<basis> <bits> [reps]'")
             if not len(first):
                 continue
+            # a float sum of positive integers is exact below 2^53 and, once
+            # it reaches 2^53, stays there, in any order: the running total
+            # names the line where it crosses
+            chunk_total = total + chunk_reps.sum(dtype=float)
+            if crossed is None and chunk_total >= 2.0 ** 53:
+                crossed = int(linenos[np.argmax(total + np.cumsum(chunk_reps, dtype=float) >= 2.0 ** 53)])
+            total = chunk_total
             if n is None:
                 n = int(ends[first[0]] - starts[first[0]])
                 first_line = linenos[0]
@@ -243,13 +254,14 @@ def parse_records(path: str) -> ShotBatch:
         raise EmptyInput(f"{path}: no record lines")
     if held is not None:
         _fail(path, *held[1:])
+    if n > MAX_QUBITS:
+        _fail(path, first_line, f"qubit count {n} outside 1..{MAX_QUBITS}")
+    if crossed is not None:
+        _fail(path, crossed, "reps add up to 2^53 shots or more")
     # give back what the length bound over-reserved; no view of these exists
     for a in (letters, bits, reps):
         a.resize((rows,) + a.shape[1:], refcheck=False)
-    try:
-        return ShotBatch._owned(letters, bits, reps)
-    except ValueError as exc:
-        _fail(path, first_line, str(exc))
+    return ShotBatch._owned(letters, bits, reps)
 
 
 def write_records(path: str, records: ShotBatch) -> None:

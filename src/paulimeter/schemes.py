@@ -49,6 +49,8 @@ class BasisDistribution:
                 raise ValueError(f"explicit probabilities sum to {sum(probs)}, not 1")
             if any(not b.is_full_weight for b, _ in self.explicit):
                 raise ValueError("explicit bases must be full weight")
+            if len({(b.x, b.z) for b, _ in self.explicit}) < len(self.explicit):
+                raise ValueError("explicit bases must be distinct")
         elif self.kind == "product":
             q = self.product
             if q is None or q.ndim != 2 or q.shape[1] != 3:

@@ -12,7 +12,8 @@ code with them, the copy-permutation contraction is the direct side of
 the PT-moment identity that ``paulimeter.states.exact_pt_moment`` and the
 shadow U-statistics meet, and the one-Kronecker-product-per-snapshot sum
 kept here is the oracle for the prefix-grouped snapshot sum T1 in
-``paulimeter.shadows``.
+``paulimeter.shadows``, and the loop over rows and terms kept here
+(``row_terms``) is the oracle for the estimators' key table.
 """
 
 import itertools
@@ -20,10 +21,17 @@ import math
 
 import numpy as np
 
-from paulimeter.errors import DegenerateObservable, EmptyInput, FeasibilityError
-from paulimeter.estimators import ShotBatch, per_shot_estimates
+from paulimeter.errors import (
+    DegenerateObservable,
+    DimensionMismatch,
+    EmptyInput,
+    FeasibilityError,
+    ForeignRecord,
+    PlanMismatch,
+)
+from paulimeter.estimators import EstimateReport, ShotBatch, _entry_of, per_shot_estimates
 from paulimeter.formats import _LETTER_CODES, _fail
-from paulimeter.paulis import PauliString
+from paulimeter.paulis import MAX_QUBITS, PauliString, _row_keys
 from paulimeter.schemes import MeasurementPlan
 from paulimeter.shadows import _FACTOR, _kron_sum
 from paulimeter.states import _EIGBASIS, born_distribution, sample_outcomes
@@ -217,10 +225,12 @@ def parse_records_loop(path):
     first_bad(np.array([len(b) for b in bits]) != n, bad_bits)
     bit_rows = chars(bits) - ord("0")
     first_bad(np.any(bit_rows > 1, axis=1), bad_bits)
-    try:
-        return ShotBatch(letters, bit_rows, reps)
-    except ValueError as exc:
-        _fail(path, linenos[0], str(exc))
+    if n > MAX_QUBITS:
+        _fail(path, linenos[0], f"qubit count {n} outside 1..{MAX_QUBITS}")
+    for lineno, total in zip(linenos, itertools.accumulate(reps)):
+        if total >= 2 ** 53:
+            _fail(path, lineno, "reps add up to 2^53 shots or more")
+    return ShotBatch(letters, bit_rows, reps)
 
 
 def plan_derandomized_loop(o, ns, epsilon=0.9):
@@ -275,3 +285,98 @@ def plan_derandomized_loop(o, ns, epsilon=0.9):
         fixed_bases=bases,
         unhit_terms=unhit,
     )
+
+
+def row_terms(batch, plan, o):
+    """The estimator as one loop over rows and terms, the oracle for the key
+    table of ``paulimeter.estimators``: each term's weight f(P, O_l, K) (None
+    under a fixed-bases plan, where f = shots/s_l) and, per term in order,
+    the mask of the rows that hit it and their mu(b, supp O_l) = +-1.  It
+    raises what the estimators raise, at the same first row."""
+    if o.n != plan.n:
+        raise DimensionMismatch(f"observable n={o.n}, plan n={plan.n}")
+    if len(batch) == 0:
+        raise EmptyInput("no records to estimate from")
+    if batch.n != plan.n:
+        raise DimensionMismatch(f"records of n={batch.n} do not fit plan n={plan.n}")
+    dist = plan.distribution
+    kind = "fixed" if plan.scheme == "derand" else dist.kind
+    letters, ids, weights = batch.letters, None, None
+    if kind == "fixed":
+        nb = len(plan.fixed_bases)
+        if nb == 0 or len(batch) % nb != 0:
+            raise PlanMismatch(f"{len(batch)} records do not cover {nb} planned settings evenly")
+        nr = len(batch) // nb
+        wrong = np.flatnonzero(np.any(letters != plan.letters[np.arange(len(batch)) // nr], axis=1))
+        if wrong.size:
+            k = int(wrong[0])
+            raise ForeignRecord(f"record basis {PauliString.from_codes(letters[k])} does not "
+                                f"match planned basis {plan.fixed_bases[k // nr]} (setting {k // nr})")
+    elif kind == "explicit":
+        entry_of = _entry_of(o, plan)
+        weights = [1.0 / dist.explicit[e][1] if e >= 0 else 0.0 for e in entry_of]
+        entry_keys, keys = _row_keys(plan.letters), _row_keys(letters)
+        order = np.argsort(entry_keys)
+        ids = order[np.minimum(np.searchsorted(entry_keys, keys, sorter=order), len(order) - 1)]
+        foreign = np.flatnonzero(entry_keys[ids] != keys)
+        if foreign.size:
+            raise ForeignRecord(f"basis {PauliString.from_codes(letters[foreign[0]])} "
+                                "is not an entry of the plan")
+    else:
+        weights = []
+        for codes in o.letters:
+            f = 1.0
+            for i in np.flatnonzero(codes):
+                f /= dist.product[i, codes[i] - 1]
+            weights.append(f)
+    per_term = []
+    for l, codes in enumerate(o.letters):
+        supp = np.flatnonzero(codes)
+        rows = ids == entry_of[l] if kind == "explicit" else np.all(letters[:, supp] == codes[supp], axis=1)
+        per_term.append((rows, 1.0 - 2.0 * (batch.bits[rows][:, supp].sum(axis=1) & 1)))
+    return weights, per_term
+
+
+def row_per_shot_estimates(batch, plan, o):
+    """o_hat of every row, each hit term added in term order from 0.0, and
+    the hit counts s_l (int64)."""
+    if plan.scheme == "derand":
+        raise PlanMismatch("per-shot estimation applies to randomized plans")
+    weights, per_term = row_terms(batch, plan, o)
+    values, s_l = np.zeros(len(batch)), np.zeros(len(o), dtype=np.int64)
+    for l, (rows, mu) in enumerate(per_term):
+        s_l[l] = batch.reps[rows].sum()
+        values[rows] += o.coeffs[l] * weights[l] * mu
+    return values, s_l
+
+
+def row_per_term_expectations(batch, plan, o):
+    """Per-term estimates and the float hit counts s_l, from per-row sums."""
+    weights, per_term = row_terms(batch, plan, o)
+    vals, s_l = np.zeros(len(o)), np.zeros(len(o))
+    for l, (rows, mu) in enumerate(per_term):
+        hit = batch.reps[rows].astype(float)
+        s_l[l] = hit.sum()
+        if s_l[l] > 0:
+            f = batch.shots / int(s_l[l]) if weights is None else weights[l]
+            vals[l] = f * float(np.dot(mu, hit)) / batch.shots
+    return vals, s_l
+
+
+def row_estimate(batch, plan, o, aggregator="mean", batches=10):
+    """The estimate from one fsum over the rows' o_hat * reps per batch of
+    rows (derandomized plans: the per-term averages)."""
+    if plan.scheme == "derand" and aggregator == "mean":
+        vals, s_l = row_per_term_expectations(batch, plan, o)
+        value = math.fsum(c * v for c, v, s in zip(o.coeffs, vals, s_l) if s > 0)
+    else:
+        values, s_l = row_per_shot_estimates(batch, plan, o)
+        weighted = values * batch.reps
+        if aggregator == "mean":
+            value = math.fsum(weighted) / batch.shots
+        else:
+            edges = np.linspace(0, len(batch), min(batches, len(batch)) + 1).astype(int)
+            value = float(np.median([math.fsum(weighted[lo:hi]) / batch.reps[lo:hi].sum()
+                                     for lo, hi in zip(edges[:-1], edges[1:])]))
+    eps0 = math.fsum(abs(c) for c, s in zip(o.coeffs, s_l) if s == 0)
+    return EstimateReport(float(value), batch.shots, tuple(int(s) for s in s_l), eps0)

@@ -2,17 +2,29 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enumtools import enumerate_moments, sample_records, weighted_shots
+from enumtools import (
+    enumerate_moments,
+    row_estimate,
+    row_per_shot_estimates,
+    row_per_term_expectations,
+    sample_records,
+    weighted_shots,
+)
 from paulimeter import estimators, experiments
 from paulimeter.errors import (
     CoverageError,
     DimensionMismatch,
     EmptyInput,
     ForeignRecord,
+    PaulimeterError,
     PlanMismatch,
 )
 from paulimeter.estimators import (
@@ -32,6 +44,7 @@ from paulimeter.paulis import PauliString, WeightedPauliSum
 from paulimeter.schemes import (
     BasisDistribution,
     MeasurementPlan,
+    draw_bases,
     plan_derandomized,
     plan_l1,
     plan_lbcs,
@@ -331,6 +344,19 @@ def test_foreign_and_empty_records():
         )
 
 
+def test_foreign_record_names_the_first_foreign_row(monkeypatch):
+    # ZZ comes first in row order, XX first in key order; every block size
+    # and every estimator names ZZ
+    plan = plan_l1(OBS_A)
+    letters = [P(b).codes() for b in ("ZX", "XZ", "ZZ", "YY", "ZX", "XX", "YY")]
+    batch = ShotBatch(letters, np.zeros((7, 2)))
+    for rows in (1, 4, estimators._BLOCK_ROWS):
+        monkeypatch.setattr(estimators, "_BLOCK_ROWS", rows)
+        for fn in (estimate, per_term_expectations, per_shot_estimates):
+            with pytest.raises(ForeignRecord, match="^basis ZZ is not an entry of the plan$"):
+                fn(batch, plan, OBS_A)
+
+
 def test_per_term_expectations_ghz_sharp():
     plan = plan_ldf(OBS_B)
     records = sample_records(plan, ghz(2), 600, seed=2)
@@ -409,3 +435,140 @@ def test_estimates_over_row_blocks_equal_one_block(monkeypatch, scheme):
             per_term_expectations(ShotBatch(letters, batch.bits), plan, OBS_A)
         messages.add(str(err.value))
     assert len(messages) == 1
+
+
+PLANNERS = {"l1": plan_l1, "ldf": plan_ldf, "cs": lambda o: plan_uniform_cs(o.n), "lbcs": plan_lbcs}
+
+
+@st.composite
+def estimation_cases(draw):
+    """A plan from one of the five planners over a random observable, rows
+    it could have measured with random bits, and reps from 1 to 2^40; up to
+    three rows may be made foreign, or one dropped.  n runs over 1..6, and
+    n=16 takes product plans, whose rows enter as they stand.  Also drawn:
+    a batch count for medianmeans and a block size."""
+    scheme = draw(st.sampled_from(["l1", "ldf", "cs", "lbcs", "derand"]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6] + ([16] if scheme in ("cs", "lbcs") else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = min(draw(st.integers(1, 8)), 4 ** n - 1)
+    codes = set()
+    while len(codes) < count:
+        row = rng.integers(0, 4, n) * (rng.random(n) < min(1.0, 3 / n))
+        if row.any():
+            codes.add(tuple(row.tolist()))
+    coeffs = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3, 3, count)
+    o = WeightedPauliSum(n, [(c, PauliString.from_codes(row)) for c, row in zip(coeffs, sorted(codes))])
+    if scheme == "derand":
+        plan = plan_derandomized(o, draw(st.integers(1, 6)))
+        letters = np.repeat(plan.letters, draw(st.integers(1, 5)), axis=0)
+    else:
+        plan = PLANNERS[scheme](o)
+        letters = draw_bases(plan, draw(st.integers(1, 300)), rng)
+    rows = len(letters)
+    bits = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+    reps = np.ones(rows, dtype=np.int64)
+    if rng.random() < 0.5:
+        reps = rng.integers(1, 2 ** rng.integers(1, 41), rows, endpoint=True)
+    fault = rng.choice(["none", "foreign", "drop"], p=[0.5, 0.25, 0.25])
+    if fault == "foreign":  # up to three rows, so that the first one must be named
+        letters = letters.copy()
+        for row in rng.integers(rows, size=rng.integers(1, 4)):
+            letters[row] = rng.integers(1, 4, n)
+    elif fault == "drop" and rows > 1:
+        letters, bits, reps = letters[1:], bits[1:], reps[1:]
+    return plan, o, ShotBatch(letters, bits, reps), draw(st.integers(1, 12)), draw(
+        st.sampled_from([1, 7, 64, 2 ** 14]))
+
+
+def outcome(fn, *args, **kwargs):
+    """The bytes of a result, or the type and text of the error raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except PaulimeterError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, estimators.EstimateReport):
+        return result.value.hex(), result.n_samples, result.s_l, result.epsilon0.hex()
+    return [(a.dtype.str, a.tobytes()) for a in (result if isinstance(result, tuple) else (result,))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(estimation_cases())
+def test_key_table_equals_the_row_oracle_bit_for_bit(case):
+    # every estimate, s_l, epsilon0, per-term value and per-shot value, or
+    # the first ForeignRecord or PlanMismatch, whatever the block size
+    plan, o, batch, batches, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_BLOCK_ROWS", block)
+        assert outcome(estimate, batch, plan, o) == outcome(row_estimate, batch, plan, o)
+        assert (outcome(estimate, batch, plan, o, aggregator="medianmeans", batches=batches)
+                == outcome(row_estimate, batch, plan, o, aggregator="medianmeans", batches=batches))
+        assert (outcome(per_term_expectations, batch, plan, o)
+                == outcome(row_per_term_expectations, batch, plan, o))
+        if plan.scheme == "derand":
+            assert outcome(estimate_derandomized, batch, plan, o) == outcome(row_estimate, batch, plan, o)
+        else:
+            want = outcome(lambda *a: row_per_shot_estimates(*a)[0], batch, plan, o)
+            assert outcome(per_shot_estimates, batch, plan, o) == want
+
+
+def test_estimate_memory_stays_at_block_scale():
+    # 2^18 records: an int64 key per row of the whole batch would be 2 MiB
+    plan = plan_ldf(OBS_A)
+    rng = np.random.default_rng(3)
+    rows = 2 ** 18
+    batch = ShotBatch._owned(plan.letters[rng.integers(0, len(plan.letters), rows)],
+                             rng.integers(0, 2, (rows, 2), dtype=np.uint8), np.ones(rows, dtype=np.int64))
+    want = estimate(batch, plan, OBS_A)
+    tracemalloc.start()
+    try:
+        assert estimate(batch, plan, OBS_A) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@st.composite
+def value_counts(draw):
+    """A finite value and a count below 2^53, above 1 only while their
+    product stays below 2^1023."""
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    bound = 2 ** 53 - 1 if value == 0 else min(2 ** 53 - 1, int(2 ** 1023 / Fraction(abs(value))))
+    return value, draw(st.integers(1, max(1, bound)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(value_counts(), min_size=1, max_size=6))
+def test_exact_products_sum_to_each_value_times_its_count(cells):
+    # every finite value, subnormal to near overflow, and counts up to
+    # 2^53 - 1, past the 2^27 split that no row-level test reaches: every
+    # product is exact, so fsum rounds the exact sum once
+    values = np.array([v for v, _ in cells])
+    rows = np.array([r for _, r in cells], dtype=np.int64)
+    parts = estimators._exact_products(values, rows)
+    exact = sum(Fraction(v) * int(r) for v, r in zip(values, rows))
+    assert sum(map(Fraction, parts)) == exact
+    if sum(abs(Fraction(v)) * int(r) for v, r in zip(values, rows)) < 2 ** 1023:  # no partial overflows
+        assert math.fsum(parts) == float(exact)
+
+
+def test_estimates_with_extreme_coefficients_equal_the_row_oracle():
+    # 6e299 / K(entry) times a count of 10^3 or so is far past 2^969, where
+    # an unscaled split overflows; a subnormal term loses no bit either
+    o = WeightedPauliSum(2, [(6e299, P("ZZ")), (-2e299, P("XX"))])
+    tiny = WeightedPauliSum(2, [*zip(o.coeffs, o.paulis), (5e-322, P("ZI"))])
+    rng = np.random.default_rng(11)
+    for plan, o in ((plan_l1(o), o), (plan_ldf(o), o), (plan_uniform_cs(2), tiny)):
+        letters = draw_bases(plan, 3000, rng)
+        batch = ShotBatch(letters, rng.integers(0, 2, letters.shape))
+        for aggregator in ("mean", "medianmeans"):
+            got = outcome(estimate, batch, plan, o, aggregator=aggregator)
+            assert got == outcome(row_estimate, batch, plan, o, aggregator=aggregator)
+            assert math.isfinite(float.fromhex(got[0]))
+
+
+def test_exact_products_pass_non_finite_values_once():
+    assert math.isnan(math.fsum(estimators._exact_products(np.array([1.5, np.nan]), np.array([3, 2 ** 40]))))
+    assert math.fsum(estimators._exact_products(np.array([np.inf, 2.0]), np.array([5, 2 ** 30]))) == np.inf
+    with pytest.raises(ValueError):
+        math.fsum(estimators._exact_products(np.array([np.inf, -np.inf]), np.array([2, 2])))

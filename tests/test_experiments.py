@@ -17,7 +17,7 @@ from click.testing import CliRunner
 import paulimeter
 from paulimeter import experiments
 from paulimeter.cli import main
-from paulimeter.errors import DegenerateObservable
+from paulimeter.errors import DegenerateObservable, FeasibilityError
 from paulimeter.estimators import estimate
 from paulimeter.experiments import (
     ExperimentSpec,
@@ -35,7 +35,7 @@ from paulimeter.formats import (
     write_records,
 )
 from paulimeter.paulis import PauliString, WeightedPauliSum, hits
-from paulimeter.schemes import plan_derandomized
+from paulimeter.schemes import plan_derandomized, plan_uniform_cs
 from paulimeter.shadows import ShadowSet, collect_shadows
 from paulimeter.states import DensityMatrix, SubsystemMask, noisy_ghz
 
@@ -165,6 +165,25 @@ def test_moment2_runner():
     assert len(rows) == 2
     for r in rows:
         assert np.isfinite(float(r["abs_error"]))
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_runners_refuse_a_worker_count_below_1(jobs):
+    specs = [(run_observables_experiment, SMALL_OBS),
+             (run_energy_experiment, ExperimentSpec(task="energy", ns_grid=(10,), repetitions=1,
+                                                    hamiltonian=builtin_hamiltonian("lattice4"))),
+             (run_entanglement_experiment, ExperimentSpec(task="certify", ns_grid=(10,), repetitions=1,
+                                                          masks=(SubsystemMask.of(2, 1),)))]
+    for runner, spec in specs:
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            runner(spec, jobs=jobs)
+
+
+def test_cell_records_refuse_2_to_the_53_shots_before_allocating():
+    plan = plan_uniform_cs(2)
+    with pytest.raises(FeasibilityError, match=r"^--ns 2 times --nr 4503599627370496 is 2\^53 shots or more$"):
+        experiments._cell_records(noisy_ghz(2, 0.0), plan, 2, 2 ** 52, np.random.SeedSequence(0))
+    assert experiments._cell_records(noisy_ghz(2, 0.0), plan, 3, 2, np.random.SeedSequence(0)).shots == 6
 
 
 def test_entanglement_runner_shares_shadows_across_masks():
@@ -567,6 +586,8 @@ MALFORMED_PLANS = [
                  "finite", id="nan-explicit-probability"),
     pytest.param("lbcs", lambda d: d["distribution"]["q"][0].__setitem__(0, float("nan")),
                  "finite", id="nan-product-probability"),
+    pytest.param("ldf", lambda d: d["distribution"]["entries"][1].__setitem__(
+        0, d["distribution"]["entries"][0][0]), "distinct", id="repeated-explicit-basis"),
 ]
 
 
@@ -703,6 +724,10 @@ ERROR_PATHS = {
     "sample-seed-negative": "sample --scheme cs --qubits 4 --ns 30 --seed -1 --out {tmp}/r.rec",
     "shadows-seed-negative": "shadows --qubits 4 --ns 30 --seed -1 --out {tmp}/s.rec",
     "sample-nr-0": "sample --scheme cs --qubits 4 --ns 30 --nr 0 --out {tmp}/r.rec",
+    "sample-nr-past-2^53": "sample --scheme cs --qubits 2 --ns 3 --nr 99999999999999999999 "
+                           "--out {tmp}/r.rec",
+    "bench-observables-nr-past-2^53": "bench observables --scheme cs --ns 3 --reps 1 "
+                                      "--nr 99999999999999999999",
     **{f"sample-plan-{case.id}": f"sample --plan {{tmp}}/{case.id}.json --ns 5 --out {{tmp}}/r.rec"
        for case in MALFORMED_PLANS},
 }

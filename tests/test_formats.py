@@ -170,6 +170,22 @@ def test_records_of_2_to_the_53_shots_or_more_name_the_file(tmp_path):
     assert parse_records(str(path)).shots == 2 ** 53 - 1
 
 
+def test_records_past_2_to_the_53_shots_name_the_line_that_crosses(tmp_path, monkeypatch):
+    # the running total reaches 2^53 on line 5, in a later chunk when chunks
+    # are cut short; a column error on an earlier line still comes first
+    path = tmp_path / "late.rec"
+    body = f"XZ 01\n# note\nZZ 00 {2 ** 52}\n\nXX 11 {2 ** 52 - 1}\nYY 10 {2 ** 62}\n"
+    for chunk in (1 << 16, 8):
+        monkeypatch.setattr(formats, "_CHUNK_BYTES", chunk)
+        path.write_text(body)
+        with pytest.raises(FormatError) as err:
+            parse_records(str(path))
+        assert str(err.value) == f"{path}:5: reps add up to 2^53 shots or more"
+        path.write_text(body.replace("XZ 01", "XZ 02"))
+        with pytest.raises(FormatError, match=":1: bits '02'"):
+            parse_records(str(path))
+
+
 def test_write_records_bytes_are_the_line_format():
     batch = ShotBatch([[1, 2, 3], [3, 3, 1], [2, 1, 1]], [[0, 1, 0], [1, 1, 1], [0, 0, 1]],
                       [1, 12, 2 ** 53 - 14])  # 2^53 - 1 shots in all, the most a batch holds
@@ -290,6 +306,11 @@ def _parse_outcome(parse, path):
     ("XZ 02\nXZ 0\n", 2, "0/1"),
     ("XQ 01\nXZ 0\nXZ 01\nXZ 01 x\n", 4, "bad reps"),
     ("XZ 01\nXZ 0\nXQ 01\n\nXZ 01\nZI 01\n", 3, "letter"),
+    # 17 sites: past the qubit bound, named at the first record line, after
+    # the column errors and before the 2^53-shot total
+    (f"# c\n{'X' * 17} {'0' * 17} {2 ** 62}\n{'Z' * 17} {'1' * 17} {2 ** 62}\n", 2,
+     "qubit count 17 outside 1..16"),
+    (f"{'X' * 17} {'0' * 17}\n{'Q' * 17} {'1' * 17}\n", 2, "letter"),
 ])
 def test_parse_records_reports_the_first_error_in_order(tmp_path, content, lineno, fragment):
     # at chunks of a few bytes every line is read in pieces, and an error

@@ -234,6 +234,9 @@ def test_basis_distribution_validation():
         BasisDistribution("product", product=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):
         BasisDistribution("other")
+    # two entries of one basis would split its shots between their terms
+    with pytest.raises(ValueError, match="^explicit bases must be distinct$"):
+        BasisDistribution("explicit", explicit=((P("ZZ"), 0.5), (P("XZ"), 0.25), (P("ZZ"), 0.25)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
