@@ -150,13 +150,16 @@ def _cell_records(rho: DensityMatrix, plan: MeasurementPlan, ns: int, nr: int,
                   ss: np.random.SeedSequence) -> ShotBatch:
     """ns settings, nr unit shots each, in planned order.  A batch holds
     fewer than 2^53 shots, so a larger ns * nr is refused before anything
-    is allocated."""
+    is allocated, and one that does not fit in memory is named by its flags."""
     if ns * nr >= 2 ** 53:
         raise FeasibilityError(f"--ns {ns} times --nr {nr} is 2^53 shots or more")
     basis_ss, outcome_ss = ss.spawn(2)
-    letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
-    return ShotBatch._owned(np.repeat(letters, nr, axis=0), sample_settings(rho, letters, nr, outcome_ss),
-                            np.ones(ns * nr, dtype=np.int64))
+    try:
+        letters = draw_bases(plan, ns, np.random.default_rng(basis_ss))
+        return ShotBatch._owned(np.repeat(letters, nr, axis=0), sample_settings(rho, letters, nr, outcome_ss),
+                                np.ones(ns * nr, dtype=np.int64))
+    except MemoryError:
+        raise FeasibilityError(f"--ns {ns} times --nr {nr} shots do not fit in memory") from None
 
 
 def _fmt(v) -> str:

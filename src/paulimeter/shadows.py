@@ -15,7 +15,8 @@ the second PT moment is the full-system purity, and in the third-order sum
 
 over T_m = sum_k (M_k^{T_A})^m only Tr[T1^3] depends on the mask A: T1 is
 the partial transpose of the dense snapshot sum, Tr[T2 T1] is the pair sum
-at alpha = 5/2 below, and Tr[T3] = N 7^n.
+at alpha = 5/2 below, and Tr[T3] = N 7^n.  A row of reps w stands for w
+snapshots, N = sum w; every sum weighs it by w, so no row is copied.
 
 Per set, built once and kept on the ShadowSet: T1, S_all(5/2), the purity
 sum S_all(1/2) behind p2, and every pair sum asked for.  Per mask: the
@@ -53,12 +54,12 @@ _KRON_BYTES = 1 << 25  # largest stack of Kronecker blocks built at once
 
 
 class ShadowSet(ShotBatch):
-    """Ordered snapshot collection: a shot batch with every reps = 1.
+    """Snapshot collection: a shot batch whose row of reps r stands for r snapshots.
 
     ``letters[k, i]`` is the measured Pauli letter code (1=X, 2=Y, 3=Z) on
-    site i of snapshot k; ``signs[k, i]`` is the outcome eigenvalue +-1,
-    stored as the outcome bit.  The package builds its sets through
-    ``_owned``, as any batch; the constructor takes signs and copies them.
+    site i of row k; ``signs[k, i]`` is the outcome eigenvalue +-1, stored
+    as the outcome bit.  The package builds its sets through ``_owned``, as
+    any batch; the constructor takes signs and copies them, with unit reps.
     """
 
     def __init__(self, n: int, letters, signs):
@@ -80,18 +81,13 @@ class ShadowSet(ShotBatch):
 
     @classmethod
     def from_records(cls, records: ShotBatch) -> "ShadowSet":
-        """Expand a shot batch (reps included) into one snapshot per shot."""
+        """The snapshots of a shot batch, sharing its read-only arrays."""
         if len(records) == 0:
             raise EmptyInput("no records to build shadows from")
-        try:
-            letters = np.repeat(records.letters, records.reps, axis=0)
-            bits = np.repeat(records.bits, records.reps, axis=0)
-        except MemoryError:
-            raise FeasibilityError(f"{records.shots} snapshots do not fit in memory") from None
-        return cls._owned(letters, bits, np.ones(len(letters), dtype=np.int64))
+        return cls._owned(records.letters, records.bits, records.reps)
 
     def records(self) -> ShotBatch:
-        """The set as a shot batch, one row per snapshot (lossless)."""
+        """The set as a shot batch, with the same rows and reps (lossless)."""
         return self
 
 
@@ -100,13 +96,18 @@ def collect_shadows(rho: DensityMatrix, ns: int, seed) -> ShadowSet:
     letter per qubit, then one shot per snapshot."""
     if ns < 1:
         raise ValueError("ns must be >= 1")
-    letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
-    bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed))
+    if ns >= 2 ** 53:
+        raise FeasibilityError(f"--ns {ns} is 2^53 snapshots or more")
+    try:
+        letters = np.random.default_rng(seed).integers(1, 4, size=(ns, rho.n), dtype=np.int8)
+        bits = sample_settings(rho, letters, 1, np.random.SeedSequence(seed))
+    except MemoryError:
+        raise FeasibilityError(f"--ns {ns} snapshots do not fit in memory") from None
     return ShadowSet._owned(letters, bits, np.ones(ns, dtype=np.int64))
 
 
 def _require(shadows: ShadowSet, least: int, what: str) -> int:
-    count = len(shadows)
+    count = shadows.shots
     if count < least:
         raise EmptyInput(f"{what} needs at least {least} snapshots, got {count}")
     return count
@@ -120,16 +121,16 @@ def _snapshot_sum(shadows: ShadowSet) -> np.ndarray:
     return shadows._sums["t1"]
 
 
-def _kron_sum(rows: np.ndarray) -> np.ndarray:
-    """sum_k kron_j rows[k, j] over an (N, m, a, b) stack of per-site
-    factors, in row chunks of at most _KRON_BYTES of Kronecker products.
-    The feature-map pair sums use it; T1 has its own grouped kernel."""
-    count, m, a, b = rows.shape
-    total = np.zeros((a ** m, b ** m), dtype=rows.dtype)
-    chunk = max(1, _KRON_BYTES // (rows.itemsize * total.size))
+def _kron_sum(factors: np.ndarray, codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] kron_j factors[codes[k, j]] over (N, m) code rows, in
+    row chunks of at most _KRON_BYTES of Kronecker products that each gather
+    their own factors.  The feature-map pair sums use it; T1 has its own kernel."""
+    (count, m), (a, b) = codes.shape, factors.shape[1:]
+    total = np.zeros((a ** m, b ** m), dtype=factors.dtype)
+    chunk = max(1, _KRON_BYTES // (factors.itemsize * total.size))
     for lo in range(0, count, chunk):
-        block = rows[lo : lo + chunk]
-        out = block[:, 0]
+        block = factors[codes[lo : lo + chunk]]
+        out = block[:, 0] * weights[lo : lo + chunk, None, None]
         for j in range(1, m):
             c, p, q = out.shape
             out = np.einsum("kab,kcd->kacbd", out, block[:, j]).reshape(c, p * a, q * b)
@@ -139,11 +140,11 @@ def _kron_sum(rows: np.ndarray) -> np.ndarray:
 
 def _build_snapshot_sum(shadows: ShadowSet) -> np.ndarray:
     """Dense sum of all snapshot matrices, T1 = sum_k M_k."""
-    return _prefix_sum(2 * (shadows.letters.astype(np.int64) - 1) + shadows.bits)
+    return _prefix_sum(2 * (shadows.letters.astype(np.int64) - 1) + shadows.bits, shadows.reps)
 
 
-def _prefix_sum(codes: np.ndarray) -> np.ndarray:
-    """S = sum_k kron_j F[codes[k, j]] over (count, m) snapshot code rows.
+def _prefix_sum(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S = sum_k weights[k] kron_j F[codes[k, j]] over (count, m) code rows.
 
     S = sum_c kron(F_c, S_c), with S_c the sum over the rows that lead with
     code c.  When count blocks of 4^m complex entries fit in _KRON_BYTES,
@@ -153,28 +154,28 @@ def _prefix_sum(codes: np.ndarray) -> np.ndarray:
     """
     count, m = codes.shape
     if m == 0 or count * 16 * 4 ** m <= _KRON_BYTES:
-        return _grouped_sum(codes)
+        return _grouped_sum(codes, weights)
     half = 1 << (m - 1)
     total = np.zeros((2 * half, 2 * half), dtype=complex)
     quarters = total.reshape(2, half, 2, half)
     lead = codes[:, 0]
     for c in np.unique(lead):
-        child = _prefix_sum(codes[lead == c, 1:])
+        child = _prefix_sum(codes[lead == c, 1:], weights[lead == c])
         for (a, b), f in np.ndenumerate(_FACTOR[c // 2, c % 2]):
             quarters[a, :, b, :] += f * child
     return total
 
 
-def _grouped_sum(codes: np.ndarray) -> np.ndarray:
-    """_prefix_sum breadth-first: the distinct code rows with their counts,
+def _grouped_sum(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """_prefix_sum breadth-first: the distinct code rows with their weights,
     then from the last site on, one kron of each group's code factor with
     its block and one sum of the groups that share the shorter prefix."""
     count, m = codes.shape
     keys = np.zeros(count, dtype=np.int64)
     for j in range(m):
         keys = 6 * keys + codes[:, j]
-    keys, counts = np.unique(keys, return_counts=True)
-    blocks = counts.astype(complex).reshape(-1, 1, 1)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    blocks = np.bincount(inverse, weights).astype(complex).reshape(-1, 1, 1)
     for _ in range(m):
         groups, size = len(keys), 2 * blocks.shape[1]
         # einsum adds each product onto a zeroed output, so no entry is -0,
@@ -188,7 +189,7 @@ def _grouped_sum(codes: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_mean(shadows: ShadowSet) -> np.ndarray:
-    """Arithmetic mean of the expanded snapshots. Trace is exactly 1; the
+    """Arithmetic mean of the N snapshots. Trace is exactly 1; the
     matrix is generally not positive semidefinite and is returned as-is."""
     count = _require(shadows, 1, "reconstruction")
     if shadows.n > _MAX_DENSE_QUBITS:
@@ -205,16 +206,17 @@ def _pair_sum(shadows: ShadowSet, sites, alpha: float) -> float:
 
 
 def _pair_kernel(shadows: ShadowSet, sites, alpha: float) -> float:
-    """Sum over all ordered snapshot pairs (a, b), a = b included, of
-    prod_{i in sites} (alpha + 9/2 s_a s_b [W_a = W_b]).
+    """Sum of h(a, b) = prod_{i in sites} (alpha + 9/2 s_a s_b [W_a = W_b])
+    over all ordered snapshot pairs (a, b), a = b included: over rows,
+    sum_ab w_a w_b h(a, b) with w the reps.
 
-    The feature map costs N 4^m and the pair table N^2 m for m sites; the
-    cheaper one runs.  Feature vectors (sqrt(alpha), 3 s e_W / sqrt(2))
+    The feature map costs R 4^m and the pair table R^2 m for R rows and m
+    sites; the cheaper one runs.  Feature vectors (sqrt(alpha), 3 s e_W / sqrt(2))
     have the per-site value as their inner product, so the sum is the
-    squared norm of their summed tensor products.  The table is built and
-    summed in row blocks of at most 2^20 entries.
+    squared norm of their weighted sum of tensor products.  The table is
+    built, weighted and summed in row blocks of at most 2^20 entries.
     """
-    count, m = len(shadows), len(sites)
+    count, m, weights = len(shadows), len(sites), shadows.reps
     sites = list(sites)
     # per-site code 2 (letter code - 1) + bit, and its letter and sign
     code = 2 * (shadows.letters[:, sites] - 1) + shadows.bits[:, sites]
@@ -224,7 +226,7 @@ def _pair_kernel(shadows: ShadowSet, sites, alpha: float) -> float:
         # sqrt(2 alpha)/sqrt(2) is exactly 1/sqrt(2) at alpha = 1/2
         phi[:, 0] = math.sqrt(2.0 * alpha) / math.sqrt(2.0)
         phi[np.arange(6), 1 + letter] = 3.0 * sign / math.sqrt(2.0)
-        acc = _kron_sum(phi[code][..., None])[:, 0]
+        acc = _kron_sum(phi[..., None], code, weights)[:, 0]
         return float(acc @ acc)
     table = alpha + 4.5 * np.outer(sign, sign) * (letter[:, None] == letter)
     block = max(1, (1 << 20) // count)
@@ -233,6 +235,8 @@ def _pair_kernel(shadows: ShadowSet, sites, alpha: float) -> float:
         pair = table[code[lo : lo + block, 0, None], code[:, 0]]
         for j in range(1, m):
             pair *= table[code[lo : lo + block, j, None], code[:, j]]
+        pair *= weights[lo : lo + block, None]
+        pair *= weights
         total += float(pair.sum())
     return total
 
@@ -311,6 +315,7 @@ def pt_moment_ustat(
             raise AssertionError("tuple power sum came out complex")
         return float(raw.real) / (count * (count - 1) * (count - 2))
     factors = _FACTOR[shadows.letters - 1, shadows.bits]
+    ends = np.cumsum(shadows.reps)  # snapshot k is in the first row whose running total exceeds k
     masked = list(a.indices)
     rng = np.random.default_rng(seed)
     remaining = budget
@@ -320,6 +325,7 @@ def pt_moment_ustat(
         draw = draw[np.all(np.diff(np.sort(draw, 1), 1) != 0, 1)][:remaining]
         if len(draw) == 0:
             continue
+        draw = np.searchsorted(ends, draw, "right")
         prod = factors[draw[:, 0]]
         for t in range(1, order):
             prod = np.einsum("kjab,kjbc->kjac", prod, factors[draw[:, t]])

@@ -133,9 +133,11 @@ def snapshot_matrix(codes, bits):
 
 
 def snapshot_sum_kron(shadows):
-    """T1 = sum_k kron_j F_kj of a ShadowSet, one 2^n x 2^n Kronecker product
-    per snapshot, summed in row chunks from a zero matrix."""
-    return _kron_sum(_FACTOR[shadows.letters - 1, shadows.bits])
+    """T1 = sum_k w_k kron_j F_kj of a ShadowSet, one 2^n x 2^n Kronecker
+    product per row scaled by its reps, summed in row chunks from a zero
+    matrix."""
+    codes = 2 * (shadows.letters.astype(np.int64) - 1) + shadows.bits
+    return _kron_sum(_FACTOR.reshape(6, 2, 2), codes, shadows.reps)
 
 
 def permutation_moment_oracle(rho, a, order):

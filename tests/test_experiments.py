@@ -662,7 +662,8 @@ def error_inputs(tmp_path_factory):
     """The input files the error-path cases name: a sum with no terms, a
     sum of identity terms only, a term of the wrong size, an empty record
     file, 11-qubit snapshots, non-finite coefficients, shot totals past
-    2^53 and past memory, and one corrupted plan per MALFORMED_PLANS case."""
+    2^53, one row of 2^50 reps, and one corrupted plan per MALFORMED_PLANS
+    case."""
     tmp_path = tmp_path_factory.mktemp("error-inputs")
     (tmp_path / "empty.ham").write_text("n 2\n")
     (tmp_path / "bad.ham").write_text("n 2\n0.5 XYZ\n")
@@ -704,7 +705,6 @@ ERROR_PATHS = {
     "plan-nan-coefficient": "plan --scheme l1 --hamiltonian {tmp}/nan.ham",
     "estimate-inf-coefficient": "estimate --records {tmp}/two.rec --hamiltonian {tmp}/inf.ham --scheme cs",
     "estimate-shots-past-2^53": "estimate --records {tmp}/wrap.rec --hamiltonian {tmp}/zz.ham --scheme cs",
-    "purity-snapshots-past-memory": "purity --records {tmp}/huge.rec",
     "plan-missing-file": "plan --scheme l1 --hamiltonian {tmp}/missing.ham",
     "plan-bad-term": "plan --scheme l1 --hamiltonian {tmp}/bad.ham",
     "plan-unknown-builtin": "plan --scheme l1 --hamiltonian builtin:nothing",
@@ -728,6 +728,14 @@ ERROR_PATHS = {
                            "--out {tmp}/r.rec",
     "bench-observables-nr-past-2^53": "bench observables --scheme cs --ns 3 --reps 1 "
                                       "--nr 99999999999999999999",
+    "shadows-ns-past-2^53": "shadows --ns 99999999999999999999 --out {tmp}/s.rec",
+    # 2^50-shot arrays are petabytes, so numpy refuses them before touching memory
+    "shadows-ns-past-memory": "shadows --ns 1125899906842624 --out {tmp}/s.rec",
+    "sample-ns-past-memory": "sample --scheme cs --qubits 2 --ns 1125899906842624 --nr 1 "
+                             "--out {tmp}/r.rec",
+    "sample-nr-past-memory": "sample --scheme cs --qubits 2 --ns 3 --nr 1125899906842624 "
+                             "--out {tmp}/r.rec",
+    "bench-observables-ns-past-memory": "bench observables --scheme cs --ns 1125899906842624 --reps 1",
     **{f"sample-plan-{case.id}": f"sample --plan {{tmp}}/{case.id}.json --ns 5 --out {{tmp}}/r.rec"
        for case in MALFORMED_PLANS},
 }
@@ -740,6 +748,24 @@ def test_cli_error_paths_end_in_one_line(error_inputs, args):
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ")
     assert "Traceback" not in result.output + result.stderr
+
+
+def test_cli_oversized_flags_are_named(error_inputs):
+    for case, want in (("shadows-ns-past-2^53", "--ns 99999999999999999999 is 2^53 snapshots or more"),
+                       ("shadows-ns-past-memory", "--ns 1125899906842624 snapshots do not fit in memory"),
+                       ("sample-nr-past-memory",
+                        "--ns 3 times --nr 1125899906842624 shots do not fit in memory"),
+                       ("bench-observables-ns-past-memory",
+                        "--ns 1125899906842624 times --nr 5 shots do not fit in memory")):
+        result = run_cli(ERROR_PATHS[case].format(tmp=error_inputs).split())
+        assert result.stderr == f"error: {want}\n"
+
+
+def test_cli_purity_reads_a_row_of_2_50_reps(error_inputs):
+    # 2^50 snapshots of one row: every pair agrees on both sites, 5 * 5
+    result = run_cli(["purity", "--records", str(error_inputs / "huge.rec")])
+    assert result.exit_code == 0
+    assert result.stdout == "1-2: purity = 25.0\n"
 
 
 def test_cli_identity_only_observables_exit_3(error_inputs):

@@ -117,8 +117,12 @@ def test_records_round_trip_and_validation():
     np.testing.assert_array_equal(back.letters, sh.letters)
     np.testing.assert_array_equal(back.signs, sh.signs)
     reps = ShotBatch([P("XZ").codes()], [(0, 1)], [3])
-    expanded = ShadowSet.from_records(reps)
-    assert len(expanded) == 3
+    counted = ShadowSet.from_records(reps)
+    assert counted.shots == 3 and len(counted) == 1
+    # the set shares the batch's read-only arrays: nothing is copied
+    for mine, theirs in ((counted.letters, reps.letters), (counted.bits, reps.bits),
+                         (counted.reps, reps.reps)):
+        assert mine is theirs and not mine.flags.writeable
     with pytest.raises(EmptyInput):
         ShadowSet.from_records(ShotBatch(np.empty((0, 2)), np.empty((0, 2))))
     with pytest.raises(ValueError):
@@ -127,12 +131,23 @@ def test_records_round_trip_and_validation():
         ShadowSet(1, np.array([[1]]), np.array([[2]]))
 
 
-def test_snapshots_past_memory_are_a_feasibility_error():
-    # 2^50 snapshots of 2 sites need 2 PiB per array: more than any address
-    # space holds, so the allocation fails before a byte is written
-    batch = ShotBatch([P("XZ").codes()], [(0, 1)], [2 ** 50])
-    with pytest.raises(FeasibilityError, match=f"^{2 ** 50} snapshots do not fit in memory$"):
-        ShadowSet.from_records(batch)
+def test_a_row_of_many_reps_is_read_at_its_own_size():
+    # 10^9 snapshots of one row: an expanded copy would take 4 GB.  mc:
+    # draws its tuples 2^16 at a time, a chunk the seeded stream fixes, which
+    # peaks at 2.6 MiB (pairs) and 4.1 MiB (triples) whatever the reps
+    batch = ShotBatch([P("XZ").codes()], [(0, 1)], [10 ** 9])
+    for call, limit_mib, want in (
+            (lambda sh: purity_ustat(sh, SubsystemMask.full(2)), 1, 25.0),
+            (lambda sh: pt_moment_ustat(sh, SubsystemMask.of(2, 1), 2, "mc:2000"), 3, 25.0),
+            (lambda sh: pt_moment_ustat(sh, SubsystemMask.of(2, 1), 3, "mc:2000"), 5, 49.0)):
+        tracemalloc.start()
+        try:
+            value = call(ShadowSet.from_records(batch))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
+        assert value == want
 
 
 def test_pickle_round_trip_keeps_arrays_read_only_and_drops_memo():
@@ -187,6 +202,41 @@ def test_grouped_snapshot_sum_equals_the_kron_stack(n, count, letters, signs, bu
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), rows=st.integers(1, 12), most=st.sampled_from((1, 2, 5, 40)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, rows=12, most=40, seed=0)
+@example(n=5, rows=3, most=40, seed=1)
+def test_weighted_rows_equal_their_expansion(n, rows, most, seed):
+    # every weight is an integer and every partial sum of T1 and of the pair
+    # table is exact at these sizes, so weighing a row by its reps gives the
+    # bytes of copying it; the feature map rounds through 1/sqrt(2)
+    rng = np.random.default_rng(seed)
+    letters, bits = rng.integers(1, 4, (rows, n)), rng.integers(0, 2, (rows, n))
+    reps = rng.integers(1, most + 1, rows)
+    weighted = ShadowSet.from_records(ShotBatch(letters, bits, reps))
+    expanded = ShadowSet.from_records(ShotBatch(np.repeat(letters, reps, 0), np.repeat(bits, reps, 0)))
+    assert weighted.shots == expanded.shots == len(expanded)
+    assert _build_snapshot_sum(weighted).tobytes() == _build_snapshot_sum(expanded).tobytes()
+    for m in range(1, n + 1):
+        for sites in itertools.combinations(range(n), m):
+            # the cost rule: the feature map runs once 4^m <= rows * m
+            on_table = [4 ** m > len(s) * m for s in (weighted, expanded)]
+            for alpha in (0.5, 2.5):
+                got, want = _pair_kernel(weighted, sites, alpha), _pair_kernel(expanded, sites, alpha)
+                if all(on_table):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    mask = SubsystemMask.of(n, 1)
+    for order in range(2, min(3, weighted.shots) + 1):
+        assert pt_moment_ustat(weighted, mask, order, "mc:300", seed) == (
+            pt_moment_ustat(expanded, mask, order, "mc:300", seed))
+    if weighted.shots >= 3:
+        assert pt_moment_ustat(weighted, mask, 3) == pytest.approx(
+            pt_moment_ustat(expanded, mask, 3), rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("n, limit_mib", [(6, 2), (10, 48)])
 def test_snapshot_sum_memory_is_bounded(n, limit_mib):
     # a per-snapshot Kronecker stack peaks at 23.9 MiB (n=6) and over
@@ -212,6 +262,21 @@ def test_feature_map_pair_sum_across_chunks_matches_pair_table():
             same = letters[:, j, None] == letters[:, j]
             pair *= alpha + 4.5 * np.outer(signs[:, j], signs[:, j]) * same
         assert _pair_kernel(sh, range(6), alpha) == pytest.approx(pair.sum(), rel=1e-12)
+
+
+def test_feature_map_gathers_its_factors_a_chunk_at_a_time(monkeypatch):
+    # with 1 MiB chunks, 200,000 snapshots at n=4 peak at 3.1 MiB, most of it
+    # the (N, m) code array; gathering every row's factors first took 27 MiB
+    monkeypatch.setattr(shadows_module, "_KRON_BYTES", 1 << 20)
+    sh = random_set(4, 200_000, 14)
+    for mask in (SubsystemMask.full(4), SubsystemMask.of(4, 1, 2)):
+        tracemalloc.start()
+        try:
+            purity_ustat(sh, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 def test_reconstruct_mean_matches_snapshot_average():
